@@ -623,8 +623,30 @@ class YalaSystem:
         and traffic, so its output is loop-invariant and evaluates once
         per target instead of once per fixed-point iteration.
         """
+        return self.predict_colocation_batch_with_solos(requests)[0]
+
+    def predict_colocation_batch_with_solos(
+        self,
+        requests: list[
+            tuple[
+                list[tuple[str, TrafficProfile]],
+                list[CompetitorSpec] | None,
+            ]
+        ],
+    ) -> tuple[list[list[float]], list[list[float]]]:
+        """:meth:`predict_colocation_batch` plus every placement's solo.
+
+        Returns ``(joint, solos)``, both shaped like the request list.
+        ``solos[k][i]`` is the predicted solo throughput of placement
+        ``i`` of request ``k``: the zero-contention row the joint pass
+        evaluates anyway to seed its fixed point. It is the same
+        feature row :meth:`YalaPredictor.predict_solo` builds, and batch
+        rows are independent, so the value is bit-identical to that
+        call — callers comparing joint against solo throughput (drop
+        checks) need no second GBR pass.
+        """
         if not requests:
-            return []
+            return [], []
         # Phase 1: assemble the per-predictor memory-model batches and a
         # per-case evaluation plan referencing slots in those batches.
         # Solo rows are keyed by (predictor, traffic): a sweep repeats
@@ -689,11 +711,13 @@ class YalaSystem:
 
         # Phase 3: the accelerator fixed point, per case.
         results = []
+        solo_rows = []
         for entries in plans:
             solos = [
                 float(evaluated[entry.name][entry.solo_slot])
                 for entry in entries
             ]
+            solo_rows.append(solos)
             memories = [
                 float(evaluated[entry.name][entry.memory_slot])
                 for entry in entries
@@ -725,4 +749,4 @@ class YalaSystem:
                     break
                 rates = updated
             results.append(rates)
-        return results
+        return results, solo_rows

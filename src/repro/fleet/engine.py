@@ -578,11 +578,12 @@ def _score_cluster(
             telemetry.record_warm_cache(
                 warm_hits, warm_misses, warm_invalidations
             )
-        for key in mix_order:
-            target, mix_key = key
-            predicted = model.predict_mix_throughputs(mix_key, target)
+        for key, predicted in zip(
+            mix_order, model.predict_mix_throughputs(mix_order)
+        ):
             if predicted is None:
                 continue  # heuristic arm: no predictor, no residuals
+            target, mix_key = key
             for (name, _), pred, (_, achieved) in zip(
                 mix_key, predicted, mix_cache[key]
             ):

@@ -19,6 +19,22 @@ Two layers:
   Yala, watches the previous epoch's measured drops, and migrates the
   bottlenecked NF of every SLA-violating NIC.
 
+Every first-fit decision — fleet placement, rebalance migration
+targets, and the Table 6 scheduler's greedy/SLOMO/Yala strategies —
+goes through one scan, :func:`first_fit`. It takes the candidate cases
+``(residents + [instance], target, capacity)`` in preference order and
+a verdict over a chunk of them, and asks the verdict about chunks of
+geometrically growing size (1, 4, 16, ...): a first candidate that fits
+still costs one case, while a long walk past infeasible NICs costs a
+logarithmic number of verdict calls. Yala's verdict
+(:meth:`PlacementModel.predicted_feasible_yala_batch`) answers a whole
+chunk with one joint predictor pass per hardware target and reads each
+resident's solo throughput from that same pass. Per-case verdicts
+(greedy's utilisation, SLOMO) are written as generators, which the scan
+consumes only up to the first fit, so they never evaluate past it.
+Verdicts are not cached: every probed mix contains the service being
+placed, which is new to the fleet.
+
 Under the continuous-time event engine policies additionally see
 *time-aware hooks*: :meth:`FleetPolicy.on_probe` fires after every
 scoring observation and :meth:`FleetPolicy.on_violation` whenever an
@@ -33,7 +49,7 @@ for the next rebalance timer.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Protocol, Sequence
 
 from repro.errors import ConfigurationError, PlacementError
 from repro.fleet.cluster import Cluster, ServiceInstance
@@ -57,6 +73,44 @@ class Resident(Protocol):
 
     @property
     def sla_drop_fraction(self) -> float: ...
+
+
+#: One first-fit candidate: ``(residents + [instance], target, capacity)``.
+Case = tuple[Sequence[Resident], Optional[str], float]
+
+#: Chunk size growth of :func:`first_fit` (chunks of 1, 4, 16, ...).
+_CHUNK_GROWTH = 4
+
+
+def first_fit(
+    cases: Sequence[Case],
+    verdict: Callable[[Sequence[Case]], Iterable[bool]],
+) -> Optional[int]:
+    """Index of the first case ``verdict`` accepts, or ``None``.
+
+    ``verdict`` maps a chunk of consecutive cases to one feasibility
+    flag per case. Chunks grow geometrically (1, 4, 16, ...), so the
+    answer is the same as asking case by case while a batched verdict
+    pays one call per chunk. A chunk's flags are consumed in order and
+    only up to the first accepted case: a verdict returning a generator
+    evaluates nothing past the first fit.
+    """
+    start, size = 0, 1
+    while start < len(cases):
+        for offset, feasible in enumerate(verdict(cases[start : start + size])):
+            if feasible:
+                return start + offset
+        start += size
+        size *= _CHUNK_GROWTH
+    return None
+
+
+def _by_target(targets: Iterable[Optional[str]]) -> dict[Optional[str], list[int]]:
+    """Positions of each target in ``targets``, first-seen target order."""
+    groups: dict[Optional[str], list[int]] = {}
+    for index, target in enumerate(targets):
+        groups.setdefault(target, []).append(index)
+    return groups
 
 
 class _TargetModel:
@@ -199,24 +253,33 @@ class PlacementModel:
         return mem_bw / entry.nic.spec.dram_bandwidth_bpus
 
     def predict_mix_throughputs(
-        self, placements: Sequence[tuple], target: Optional[str] = None
-    ) -> Optional[list[float]]:
-        """Model-predicted per-service throughputs for one colocation mix.
+        self, mixes: Sequence[tuple[str, Sequence[tuple]]]
+    ) -> list[Optional[list[float]]]:
+        """Model-predicted per-service throughputs for colocation mixes.
 
+        ``mixes`` are ``(target, placements)`` pairs, where
         ``placements`` is a sequence of ``(nf_name, traffic)`` pairs —
-        exactly the scoring core's mix-key shape. Returns ``None`` when
-        the target carries no Yala predictor (the heuristic arms have
-        no model to be wrong): telemetry's prediction-vs-ground-truth
-        residuals simply stay empty there. Pure in the trained model
-        and the mix, so residual aggregates built on it are
-        byte-deterministic across engines, runtimes and resume.
+        exactly the scoring core's mix-key shape. One
+        ``predict_colocation_batch`` call per target answers all of
+        that target's mixes (bit-identical to one call per mix). An
+        entry is ``None`` when its target carries no Yala predictor
+        (the heuristic arms have no model to be wrong): telemetry's
+        prediction-vs-ground-truth residuals simply stay empty there.
+        Pure in the trained model and the mixes, so residual aggregates
+        built on it are byte-deterministic across engines, runtimes and
+        resume.
         """
-        entry = self._target(target)
-        if entry.yala is None:
-            return None
-        return entry.yala.predict_colocation(
-            [(name, traffic) for name, traffic in placements]
-        )
+        predictions: list[Optional[list[float]]] = [None] * len(mixes)
+        for target, indices in _by_target(t for t, _ in mixes).items():
+            yala = self._target(target).yala
+            if yala is None:
+                continue
+            joint = yala.predict_colocation_batch(
+                [(list(mixes[i][1]), None) for i in indices]
+            )
+            for i, predicted in zip(indices, joint):
+                predictions[i] = predicted
+        return predictions
 
     def predicted_feasible_yala(
         self,
@@ -230,22 +293,53 @@ class PlacementModel:
         is scaled by the capacity fraction before the SLA check — the
         same derating ground-truth scoring applies — so feasibility
         probes see degraded hardware as the tighter fit it really is.
+        A one-case :meth:`predicted_feasible_yala_batch`.
         """
-        entry = self._target(target)
-        if entry.yala is None:
-            raise PlacementError("yala feasibility needs a trained YalaSystem")
-        placements = [(r.nf_name, r.traffic) for r in residents]
-        predictions = entry.yala.predict_colocation(placements)
-        for resident, predicted in zip(residents, predictions):
-            if capacity != 1.0:
-                predicted = predicted * capacity
-            solo = entry.yala.predictor_of(resident.nf_name).predict_solo(
-                resident.traffic
+        return self.predicted_feasible_yala_batch([(residents, target, capacity)])[0]
+
+    def predicted_feasible_yala_batch(self, cases: Sequence[Case]) -> list[bool]:
+        """Yala feasibility of several ``(residents, target, capacity)`` cases.
+
+        Cases are grouped by target, and each target answers its group
+        with one ``predict_colocation_batch_with_solos`` pass: the joint
+        throughputs and each resident's solo throughput (bit-identical
+        to ``predict_solo``) come from the same GBR evaluation. Batch
+        rows are independent, so a case's verdict does not depend on
+        the other cases: it equals :meth:`predicted_feasible_yala` on
+        that case alone.
+        """
+        verdicts = [False] * len(cases)
+        for target, indices in _by_target(c[1] for c in cases).items():
+            yala = self._target(target).yala
+            if yala is None:
+                raise PlacementError("yala feasibility needs a trained YalaSystem")
+            joint, solos = yala.predict_colocation_batch_with_solos(
+                [([(r.nf_name, r.traffic) for r in cases[i][0]], None) for i in indices]
             )
-            drop = max(0.0, 1.0 - predicted / solo)
-            if drop > resident.sla_drop_fraction:
-                return False
-        return True
+            for i, predicted, solo in zip(indices, joint, solos):
+                residents, _, capacity = cases[i]
+                verdicts[i] = _keeps_slas(residents, predicted, solo, capacity)
+        return verdicts
+
+    def verdict(self, strategy: str) -> Callable[[Sequence[Case]], Iterable[bool]]:
+        """The :func:`first_fit` verdict of one placement strategy.
+
+        ``"yala"`` answers a whole chunk with
+        :meth:`predicted_feasible_yala_batch`; ``"greedy"`` (estimated
+        utilisation at most 1) and ``"slomo"`` judge case by case in a
+        generator, so the scan evaluates nothing past the first fit.
+        """
+        if strategy == "yala":
+            return self.predicted_feasible_yala_batch
+        if strategy == "slomo":
+            return lambda cases: (
+                self.predicted_feasible_slomo(*case) for case in cases
+            )
+        if strategy == "greedy":
+            return lambda cases: (
+                self.greedy_utilisation(*case) <= 1.0 for case in cases
+            )
+        raise ConfigurationError(f"no placement verdict for {strategy!r}")
 
     def predicted_feasible_slomo(
         self,
@@ -282,6 +376,21 @@ class PlacementModel:
             if max(0.0, 1.0 - predicted / solo) > resident.sla_drop_fraction:
                 return False
         return True
+
+
+def _keeps_slas(
+    residents: Sequence[Resident],
+    predicted: Sequence[float],
+    solos: Sequence[float],
+    capacity: float,
+) -> bool:
+    """Every resident's capacity-derated predicted drop is within its SLA."""
+    for resident, throughput, solo in zip(residents, predicted, solos):
+        if capacity != 1.0:
+            throughput = throughput * capacity
+        if max(0.0, 1.0 - throughput / solo) > resident.sla_drop_fraction:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -378,6 +487,18 @@ class FleetPolicy:
         ]
 
 
+def _first_fit_nic(nics, instance, verdict) -> int | None:
+    """Id of the first of ``nics`` that ``verdict`` admits ``instance`` to."""
+    index = first_fit(
+        [
+            (nic.residents + [instance], nic.target, nic.capacity_fraction)
+            for nic in nics
+        ],
+        verdict,
+    )
+    return None if index is None else nics[index].nic_id
+
+
 class MonopolizationPolicy(FleetPolicy):
     """One service per NIC: no contention, maximal wastage."""
 
@@ -407,17 +528,7 @@ class GreedyPolicy(FleetPolicy):
                 ),
             ),
         )
-        for nic in candidates:
-            if (
-                model.greedy_utilisation(
-                    nic.residents + [instance],
-                    nic.target,
-                    nic.capacity_fraction,
-                )
-                <= 1.0
-            ):
-                return nic.nic_id
-        return None
+        return _first_fit_nic(candidates, instance, model.verdict("greedy"))
 
 
 class _PredictedFeasibilityPolicy(FleetPolicy):
@@ -429,36 +540,22 @@ class _PredictedFeasibilityPolicy(FleetPolicy):
     head-room.
     """
 
-    def _feasible(self, residents, model, target, capacity=1.0) -> bool:
-        raise NotImplementedError
+    #: The :meth:`PlacementModel.verdict` strategy judging candidates.
+    strategy = ""
 
     def choose_nic(self, cluster, instance, model):
         candidates = sorted(
             self._open_nics(cluster), key=lambda nic: -len(nic.residents)
         )
-        for nic in candidates:
-            if self._feasible(
-                nic.residents + [instance],
-                model,
-                nic.target,
-                nic.capacity_fraction,
-            ):
-                return nic.nic_id
-        return None
+        return _first_fit_nic(candidates, instance, model.verdict(self.strategy))
 
 
 class SlomoPolicy(_PredictedFeasibilityPolicy):
-    name = "slomo"
-
-    def _feasible(self, residents, model, target, capacity=1.0):
-        return model.predicted_feasible_slomo(residents, target, capacity)
+    name = strategy = "slomo"
 
 
 class YalaPolicy(_PredictedFeasibilityPolicy):
-    name = "yala"
-
-    def _feasible(self, residents, model, target, capacity=1.0):
-        return model.predicted_feasible_yala(residents, target, capacity)
+    name = strategy = "yala"
 
 
 class DiagnosisRebalancePolicy(YalaPolicy):
@@ -534,7 +631,6 @@ class DiagnosisRebalancePolicy(YalaPolicy):
             worst = max(
                 violated, key=lambda r: drops[r.instance_id]
             )
-            target = None
             home_pod = cluster.pod_of(nic.nic_id)
             candidates = sorted(
                 (
@@ -557,14 +653,7 @@ class DiagnosisRebalancePolicy(YalaPolicy):
                     -len(n.residents),
                 ),
             )
-            for candidate in candidates:
-                if model.predicted_feasible_yala(
-                    candidate.residents + [worst],
-                    candidate.target,
-                    candidate.capacity_fraction,
-                ):
-                    target = candidate.nic_id
-                    break
+            target = _first_fit_nic(candidates, worst, model.verdict("yala"))
             relocated.add(worst.instance_id)
             cluster.migrate(
                 worst.instance_id, target, epoch, reason="sla-violation"

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.predictor import YalaSystem
 from repro.core.slomo import SlomoPredictor
 from repro.errors import ConfigurationError
-from repro.fleet.policies import PlacementModel
+from repro.fleet.policies import PlacementModel, first_fit
 from repro.nf.catalog import EVALUATION_NF_NAMES, make_nf
 from repro.rng import SeedLike, make_rng
 from repro.traffic.profile import TrafficProfile
@@ -188,9 +188,6 @@ class Scheduler:
     def _predicted_feasible_yala(self, residents: list[NfArrival]) -> bool:
         return self._model.predicted_feasible_yala(residents)
 
-    def _predicted_feasible_slomo(self, residents: list[NfArrival]) -> bool:
-        return self._model.predicted_feasible_slomo(residents)
-
     def _greedy_utilisation(self, residents: list[NfArrival]) -> float:
         """Additive utilisation estimate of one NIC (greedy's view)."""
         return self._model.greedy_utilisation(residents)
@@ -205,8 +202,10 @@ class Scheduler:
         max_per_nic = self._nic.spec.num_cores // _CORES_PER_NF
         nics: list[list[int]] = []
 
+        verdict = (
+            None if strategy == "monopolization" else self._model.verdict(strategy)
+        )
         for index, arrival in enumerate(arrivals):
-            placed = False
             if strategy == "monopolization":
                 nics.append([index])
                 continue
@@ -219,28 +218,20 @@ class Scheduler:
                 candidates.sort(key=lambda i: (len(nics[i]), self._greedy_utilisation(
                     [arrivals[j] for j in nics[i]]
                 )))
-                for i in candidates:
-                    residents = [arrivals[j] for j in nics[i]] + [arrival]
-                    if self._greedy_utilisation(residents) <= 1.0:
-                        nics[i].append(index)
-                        placed = True
-                        break
             else:
-                feasible = (
-                    self._predicted_feasible_yala
-                    if strategy == "yala"
-                    else self._predicted_feasible_slomo
-                )
                 # First-fit over existing NICs, fullest first (bin packing).
                 candidates.sort(key=lambda i: -len(nics[i]))
-                for i in candidates:
-                    residents = [arrivals[j] for j in nics[i]] + [arrival]
-                    if feasible(residents):
-                        nics[i].append(index)
-                        placed = True
-                        break
-            if not placed:
+            chosen = first_fit(
+                [
+                    ([arrivals[j] for j in nics[i]] + [arrival], None, 1.0)
+                    for i in candidates
+                ],
+                verdict,
+            )
+            if chosen is None:
                 nics.append([index])
+            else:
+                nics[candidates[chosen]].append(index)
 
         violations = 0
         resident_lists = [

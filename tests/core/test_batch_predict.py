@@ -163,9 +163,34 @@ class TestSystemBatch:
         ]
         assert batched == looped
 
+    def test_solo_rows_match_predict_solo_bitwise(self, small_system):
+        default = TrafficProfile()
+        other = TrafficProfile(64_000, 512, 300.0)
+        requests = [
+            ([("flowmonitor", default), ("nids", other)], None),
+            (
+                [("flowstats", other)],
+                [CompetitorSpec.bench(ContentionLevel(mem_car=120.0))],
+            ),
+            (
+                [("nids", other), ("flowmonitor", default), ("nids", default)],
+                None,
+            ),
+        ]
+        joint, solos = small_system.predict_colocation_batch_with_solos(requests)
+        assert joint == small_system.predict_colocation_batch(requests)
+        assert solos == [
+            [
+                small_system.predictor_of(name).predict_solo(traffic)
+                for name, traffic in placements
+            ]
+            for placements, _ in requests
+        ]
+
     def test_empty_batch(self, small_system):
         assert small_system.predict_batch([]) == []
         assert small_system.predict_colocation_batch([]) == []
+        assert small_system.predict_colocation_batch_with_solos([]) == ([], [])
 
 
 class TestSlomoBatch:

@@ -1,7 +1,10 @@
 """Tests for the shared placement model and fleet policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.predictor import YalaSystem
 from repro.errors import ConfigurationError, PlacementError
 from repro.fleet.churn import ServiceRequest
 from repro.fleet.cluster import Cluster, ServiceInstance
@@ -9,12 +12,14 @@ from repro.fleet.policies import (
     FLEET_POLICY_NAMES,
     DiagnosisRebalancePolicy,
     PlacementModel,
+    first_fit,
     make_policy,
 )
 from repro.fleet.traces import make_trace
 from repro.nic.spec import bluefield2_spec
 from repro.profiling.collector import ProfilingCollector
 from repro.traffic.profile import TrafficProfile
+from repro.usecases.scheduling import NfArrival
 
 
 def _instance(n: int, nf_name: str = "acl", sla: float = 0.1) -> ServiceInstance:
@@ -152,3 +157,96 @@ class TestDiagnosisRebalancer:
         drops["svc-0-10"] = 0.5
         moved = policy.rebalance(cluster, 2, plain_model, drops)
         assert moved == 1
+
+
+class TestFirstFit:
+    def test_chunks_grow_geometrically(self):
+        chunks = []
+
+        def verdict(chunk):
+            chunks.append(len(chunk))
+            return [case == 30 for case in chunk]
+
+        assert first_fit(list(range(40)), verdict) == 30
+        assert chunks == [1, 4, 16, 19]
+
+    def test_no_fit_and_no_candidates(self):
+        assert first_fit(list(range(6)), lambda chunk: [False] * len(chunk)) is None
+        assert first_fit([], lambda chunk: [True] * len(chunk)) is None
+
+    def test_generator_verdict_stops_at_the_first_fit(self):
+        evaluated = []
+
+        def verdict(chunk):
+            for case in chunk:
+                evaluated.append(case)
+                yield case >= 2
+
+        assert first_fit(list(range(20)), verdict) == 2
+        assert evaluated == [0, 1, 2]
+
+
+_POOL = ("flowmonitor", "flowstats", "nids")
+_TRAFFICS = (TrafficProfile(), TrafficProfile(64_000, 512, 300.0))
+#: SLA spreads: a wide one (first fits land early) and a tight one
+#: (first fits land late in long candidate lists, or nowhere).
+_SLA_SPREADS = ((0.01, 0.05, 0.1, 0.2, 0.4, 0.8), (0.001, 0.005, 0.02))
+
+
+def _cases(slas):
+    residents = st.lists(
+        st.builds(
+            NfArrival,
+            nf_name=st.sampled_from(_POOL),
+            sla_drop_fraction=st.sampled_from(slas),
+            traffic=st.sampled_from(_TRAFFICS),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+    return st.tuples(
+        residents,
+        st.sampled_from(("bluefield2", "pensando")),
+        st.sampled_from((1.0, 0.9, 0.6, 0.3)),
+    )
+
+
+def _reference_feasible(model, residents, target, capacity):
+    """Yala feasibility as one joint call plus one ``predict_solo`` call
+    per resident: the per-case probe the batched verdict replaced."""
+    yala = model._target(target).yala
+    predicted = yala.predict_colocation([(r.nf_name, r.traffic) for r in residents])
+    for resident, throughput in zip(residents, predicted):
+        if capacity != 1.0:
+            throughput = throughput * capacity
+        solo = yala.predictor_of(resident.nf_name).predict_solo(resident.traffic)
+        if max(0.0, 1.0 - throughput / solo) > resident.sla_drop_fraction:
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def two_target_model(small_system, pensando_nic) -> PlacementModel:
+    """Yala on BlueField-2 (the shared system) plus a Pensando system."""
+    pensando = YalaSystem(pensando_nic, seed=606, quota=20).train(list(_POOL))
+    model = PlacementModel(yala=small_system)
+    model.add_target(yala=pensando)
+    return model
+
+
+class TestBatchedYalaVerdict:
+    @pytest.mark.parametrize("count", [0, 1, 5, 21, 22])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_first_fit_matches_a_loop_of_single_verdicts(
+        self, two_target_model, count, data
+    ):
+        """Chunk edges (1 | 4 | 16 | ...) sit at candidates 1, 5 and 21."""
+        model = two_target_model
+        slas = data.draw(st.sampled_from(_SLA_SPREADS))
+        cases = data.draw(st.lists(_cases(slas), min_size=count, max_size=count))
+        loop = [model.predicted_feasible_yala(*case) for case in cases]
+        assert loop == [_reference_feasible(model, *case) for case in cases]
+        expected = loop.index(True) if True in loop else None
+        assert first_fit(cases, model.predicted_feasible_yala_batch) == expected
+        assert model.predicted_feasible_yala_batch(cases) == loop

@@ -170,11 +170,13 @@ class _PermissiveModel(PlacementModel):
     hides the candidate *ordering* this test is about. Capping
     feasibility at two residents keeps the fleet dense in half-full
     NICs: every violator has same-pod and cross-pod candidates, so the
-    preference tier in the sort is what decides.
+    preference tier in the sort is what decides. The override sits on
+    the batched verdict, the entry point the policies' first-fit scan
+    calls.
     """
 
-    def predicted_feasible_yala(self, residents, target, capacity=1.0):
-        return len(residents) <= 2
+    def predicted_feasible_yala_batch(self, cases):
+        return [len(residents) <= 2 for residents, _, _ in cases]
 
 
 class TestPodLocalPreference:
