@@ -62,7 +62,7 @@ from repro.obs import (
 from repro.nic.nic import SmartNic
 from repro.nic.spec import DEFAULT_TARGET, get_spec, target_seed
 from repro.profiling.collector import ProfilingCollector
-from repro.rng import derive_seed
+from repro.rng import check_seed, derive_seed
 
 #: Default NF pool: a regex-accelerated NF, a flow-count-bound NF and a
 #: memory-heavy NF — small enough that CLI training stays snappy.
@@ -152,6 +152,7 @@ class FleetConfig:
             )
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
+        check_seed(self.seed)
         if self.jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
         if self.quota < 1:

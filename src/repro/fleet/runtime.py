@@ -16,9 +16,10 @@ baselines) and the runtime decides *where*:
 
 **Why parallelism cannot change a single byte.** Every solved value is
 a pure function of ``(simulator seed, scenario)``: the NIC's
-measurement noise is derived per scenario (``derive_seed`` over the
-workload reprs — ``SmartNic._noise_for``), never drawn from a shared
-stream, and ``run_batch`` is bit-identical to per-scenario ``run``.
+measurement noise is derived per scenario (a seed hashed from the
+workload reprs — ``SmartNic._noise_factors``), never drawn from a
+shared stream, and ``run_batch`` is bit-identical to per-scenario
+``run``.
 Workers receive pickled copies of the engine's own simulators, so a
 scenario solves to the identical float no matter which worker (or the
 parent) executes it, and no matter how scenarios are grouped into

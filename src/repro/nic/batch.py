@@ -61,7 +61,10 @@ from repro.nic.memory import (
 from repro.nic.spec import CACHE_LINE_BYTES
 from repro.nic.workload import ExecutionPattern, Resource, WorkloadDemand
 from repro.obs import active_recorder
-from repro.rng import derive_seed, make_rng
+# derive_seed is no longer called here (noise keys go through
+# SmartNic._noise_factors), but the benchmark harness wraps it as bound
+# in this module, so the name must stay.
+from repro.rng import derive_seed  # noqa: F401
 
 #: The DMA memory actor's reuse locality: SmartNic._memory_actors builds
 #: it without hot-fraction arguments, so it inherits MemoryActor's
@@ -531,6 +534,7 @@ class _Group:
         nic: "_nic.SmartNic",
         plans: list[_ScenarioPlan],
         indices: list[int],
+        noises: list[list[float]],
         columns: Optional[list[_WorkloadPlan]] = None,
         embeddings: Optional[list[list[int]]] = None,
         warm: Optional[list] = None,
@@ -539,6 +543,9 @@ class _Group:
         self._spec = nic.spec
         self._plans = plans
         self.indices = indices
+        # noises[i]: measurement-noise factors of plans[i].workloads, in
+        # order (SmartNic._noise_factors).
+        self._noises = noises
         # warm[i]: None (cold row) or a per-workload list aligned with
         # plans[i].workloads of initial-iterate guesses (None entries
         # fall back to the contention-free estimate).
@@ -1289,19 +1296,9 @@ class _Group:
     def _assemble_results(
         self, idx, thr, iterations, per_wl, dram_util, results
     ) -> None:
-        nic = self._nic
         for row, scenario_row in enumerate(idx):
             plan = self._plans[scenario_row]
-            demands = [p.demand for p in plan.workloads]
-            if nic._noise_std == 0.0:
-                noises = [1.0] * len(demands)
-            else:
-                reps = [repr(d) for d in demands]
-                sorted_reps = tuple(sorted(reps))
-                noises = []
-                for rep in reps:
-                    rng = make_rng(derive_seed(nic._seed, rep, sorted_reps))
-                    noises.append(float(1.0 + rng.normal(0.0, nic._noise_std)))
+            noises = self._noises[scenario_row]
             workload_results = {}
             for j, wplan in enumerate(plan.workloads):
                 w = self.embeddings[scenario_row][j]
@@ -1552,15 +1549,14 @@ def solve_batch(
                 remaining.append((sig, plans, indices))
         small = remaining
 
+    # Every vectorized solve as (plans, indices, columns, embeddings).
+    # All of their scenarios are seeded by one noise pass up front.
+    solves: list[tuple[list, list, Optional[list], Optional[list]]] = []
     for k, (sig, plans, indices) in enumerate(big):
         members = adopted.get(k)
         if not members:
             obs.exec_histogram("batch.group_size", len(plans))
-            group = _Group(
-                nic, plans, indices, warm=warm_list(plans, indices)
-            )
-            for local, outcome in enumerate(group.solve()):
-                results[indices[local]] = outcome
+            solves.append((plans, indices, None, None))
             continue
         all_plans = list(plans)
         all_indices = list(indices)
@@ -1583,15 +1579,7 @@ def solve_batch(
                     for m_sig, m_plans, _ in members
                 ),
             )
-        group = _Group(
-            nic,
-            all_plans,
-            all_indices,
-            embeddings=all_embeds,
-            warm=warm_list(all_plans, all_indices),
-        )
-        for local, outcome in enumerate(group.solve()):
-            results[all_indices[local]] = outcome
+        solves.append((all_plans, all_indices, None, all_embeds))
 
     if pad_small_groups and len(small) > 1:
         merged, leftovers = _merge_small_groups(small)
@@ -1620,16 +1608,31 @@ def solve_batch(
                     for sig, plans, _ in members
                 ),
             )
+        solves.append(
+            (all_plans, all_indices, _columns_for(super_sig), all_embeds)
+        )
+
+    noises = iter(
+        nic._noise_factors(
+            [
+                [p.demand for p in plan.workloads]
+                for plans, _, _, _ in solves
+                for plan in plans
+            ]
+        )
+    )
+    for plans, indices, columns, embeddings in solves:
         group = _Group(
             nic,
-            all_plans,
-            all_indices,
-            columns=_columns_for(super_sig),
-            embeddings=all_embeds,
-            warm=warm_list(all_plans, all_indices),
+            plans,
+            indices,
+            [next(noises) for _ in plans],
+            columns=columns,
+            embeddings=embeddings,
+            warm=warm_list(plans, indices),
         )
         for local, outcome in enumerate(group.solve()):
-            results[all_indices[local]] = outcome
+            results[indices[local]] = outcome
     if leftovers:
         obs.exec_counter("batch.scalar_scenarios", len(leftovers))
     for plan, index in leftovers:

@@ -20,6 +20,7 @@ testbed samples. The noiseless value is also exposed for tests.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from repro.nic.workload import (
     StageDemand,
     WorkloadDemand,
 )
-from repro.rng import SeedLike, derive_seed, make_rng
+from repro.rng import SeedLike, check_seed, derive_seed, derive_seeds, make_rng
 
 _MAX_ITERATIONS = 3000
 _DAMPING = 0.55
@@ -125,7 +126,11 @@ class SmartNic:
             name: AcceleratorEngine(accel_spec)
             for name, accel_spec in spec.accelerators.items()
         }
-        self._seed = seed if isinstance(seed, int) else derive_seed(0xA11CE, spec.name)
+        self._seed = (
+            check_seed(seed)
+            if isinstance(seed, int)
+            else derive_seed(0xA11CE, spec.name)
+        )
         self._noise_std = noise_std
 
     @property
@@ -432,9 +437,10 @@ class SmartNic:
         shares = self._memory.solve(actors)
         accel_caps = self._accelerator_capacities(workloads, throughput)
         dram_util = self._memory.dram_utilisation(actors)
+        (noises,) = self._noise_factors([workloads])
 
         results = {}
-        for workload in workloads:
+        for workload, noise in zip(workloads, noises):
             rate = throughput[workload.name]
             share = shares[workload.name]
             stage_reports = []
@@ -469,7 +475,6 @@ class SmartNic:
                     )
             bottleneck = self._bottleneck(workload, stage_reports)
             counters = self._counters(workload, rate, share)
-            noise = self._noise_for(workload, workloads)
             results[workload.name] = WorkloadResult(
                 name=workload.name,
                 throughput_mpps=rate * noise,
@@ -546,16 +551,36 @@ class SmartNic:
             wss=workload.total_wss_bytes(),
         )
 
-    def _noise_for(
-        self, workload: WorkloadDemand, workloads: list[WorkloadDemand]
-    ) -> float:
-        """Deterministic multiplicative measurement noise for this run."""
+    def _noise_factors(
+        self, scenarios: list[list[WorkloadDemand]]
+    ) -> list[list[float]]:
+        """Multiplicative measurement noise of every workload of ``scenarios``.
+
+        A workload's factor is ``1 + N(0, noise_std)`` drawn from
+        ``derive_seed(seed, repr(w), tuple(sorted(reprs of its
+        scenario)))``: a pure function of the NIC seed and the
+        scenario's workload set, never of evaluation order. All the keys
+        are hashed by one :func:`~repro.rng.derive_seeds` call, and each
+        scenario's reprs are built once.
+        """
         if self._noise_std == 0.0:
-            return 1.0
-        seed = derive_seed(
-            self._seed,
-            repr(workload),
-            tuple(sorted(repr(w) for w in workloads)),
-        )
-        rng = make_rng(seed)
-        return float(1.0 + rng.normal(0.0, self._noise_std))
+            return [[1.0] * len(workloads) for workloads in scenarios]
+        seeds = iter(derive_seeds(self._seed, _noise_keys(scenarios)))
+        return [
+            [
+                float(1.0 + make_rng(next(seeds)).normal(0.0, self._noise_std))
+                for _ in workloads
+            ]
+            for workloads in scenarios
+        ]
+
+
+def _noise_keys(
+    scenarios: list[list[WorkloadDemand]],
+) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """``(repr(w), sorted scenario reprs)`` per workload, built lazily."""
+    for workloads in scenarios:
+        reprs = [repr(w) for w in workloads]
+        key = tuple(sorted(reprs))
+        for text in reprs:
+            yield text, key

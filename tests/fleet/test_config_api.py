@@ -65,6 +65,11 @@ class TestValidation:
         config = FleetConfig(nf_pool=["flowstats", "nat"])
         assert config.nf_pool == ("flowstats", "nat")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_unsigned_64_bits(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            FleetConfig(seed=seed)
+
 
 class TestRoundTrip:
     def test_to_dict_from_dict(self):
@@ -163,6 +168,12 @@ class TestFromCliArgs:
         with pytest.warns(DeprecationWarning, match="--jobs"):
             config = FleetConfig.from_cli_args(self._args({"workers": 3}))
         assert config.jobs == 3
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            fleet_cli.main(["--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "error: seed -1 is outside [0, 2**64)" in capsys.readouterr().err
 
 
 class TestFacadeMatchesCli:

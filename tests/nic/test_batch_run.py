@@ -10,6 +10,8 @@ sizes and error cases against the seed solver as the oracle.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,10 @@ from repro.errors import PlacementError, SimulationError
 from repro.nf.catalog import EVALUATION_NF_NAMES, make_nf
 from repro.nf.synthetic import nf1, nf2
 from repro.nic.nic import SmartNic
-from repro.nic.spec import bluefield2_spec, pensando_spec
+from repro.nic.spec import bluefield2_spec, get_spec, pensando_spec
 from repro.nic.workload import ExecutionPattern
 from repro.profiling.contention import ContentionLevel, random_contention
-from repro.rng import make_rng
+from repro.rng import derive_seed, make_rng
 from repro.traffic.profile import TrafficProfile
 
 
@@ -284,6 +286,68 @@ class TestNoiseDeterminism:
             other_seed["acl"].true_throughput_mpps
             == first["acl"].true_throughput_mpps
         )
+
+
+def noise_mixes(size: int) -> list[list]:
+    """Three same-shape ``size``-workload mixes of one-core catalog NFs.
+
+    Three scenarios per shape put the batch path on a vectorized group
+    rather than on its scalar fallback.
+    """
+    mixes = []
+    for flows in (20_000, 90_000, 250_000):
+        traffic = TrafficProfile(flow_count=flows)
+        mixes.append(
+            [
+                replace(
+                    make_nf(EVALUATION_NF_NAMES[j % len(EVALUATION_NF_NAMES)])
+                    .demand(traffic, instance=f"nf{j}"),
+                    cores=1,
+                )
+                for j in range(size)
+            ]
+        )
+    return mixes
+
+
+class TestNoiseFormula:
+    """The measurement noise, pinned on its own against the scalar seed.
+
+    ``run`` and ``run_batch`` share one noise helper, so batch == loop
+    parity alone cannot catch a change to the noise itself.
+    """
+
+    @pytest.mark.parametrize("target", ["bluefield2", "pensando"])
+    @pytest.mark.parametrize("size", [1, 2, 5, 8])
+    def test_measured_is_true_times_the_seeded_factor(self, target, size):
+        seed, noise_std = 4242, 0.02
+        nic = SmartNic(get_spec(target), seed=seed, noise_std=noise_std)
+        mixes = noise_mixes(size)
+        for path, results in (
+            ("run", [nic.run(mix) for mix in mixes]),
+            ("run_batch", nic.run_batch(mixes)),
+        ):
+            for mix, result in zip(mixes, results):
+                reprs = tuple(sorted(repr(w) for w in mix))
+                for workload in mix:
+                    draw = make_rng(
+                        derive_seed(seed, repr(workload), reprs)
+                    ).normal(0.0, noise_std)
+                    measured = result[workload.name]
+                    assert measured.throughput_mpps == (
+                        measured.true_throughput_mpps * (1.0 + draw)
+                    ), (path, workload.name)
+
+    @pytest.mark.parametrize("target", ["bluefield2", "pensando"])
+    def test_zero_noise_reports_the_true_rate(self, target):
+        nic = SmartNic(get_spec(target), seed=4242, noise_std=0.0)
+        mixes = noise_mixes(5)
+        for results in ([nic.run(mix) for mix in mixes], nic.run_batch(mixes)):
+            for result in results:
+                for measured in result.workloads.values():
+                    assert (
+                        measured.throughput_mpps == measured.true_throughput_mpps
+                    )
 
 
 class TestBatchedSums:

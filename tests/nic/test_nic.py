@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PlacementError, SimulationError
+from repro.errors import ConfigurationError, PlacementError, SimulationError
 from repro.nf.catalog import make_nf
 from repro.nf.synthetic import mem_bench, regex_bench, regex_nf
 from repro.nic.counters import COUNTER_NAMES, PerfCounters
@@ -57,6 +57,11 @@ class TestRunBasics:
     def test_open_loop_arrival_respected(self, nic):
         demand = make_nf("acl").demand(TRAFFIC, arrival_rate_mpps=0.5)
         assert nic.run_solo(demand).throughput_mpps == pytest.approx(0.5, rel=0.01)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_unsigned_64_bits(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            SmartNic(bluefield2_spec(), seed=seed)
 
     def test_deterministic_without_noise(self, nic):
         demand = make_nf("nat").demand(TRAFFIC)
