@@ -4,22 +4,24 @@ A SmartNIC cluster over time: NF services arrive and depart
 (:mod:`repro.fleet.churn`), their traffic profiles evolve along traces
 (:mod:`repro.fleet.traces`), and an online placement policy
 (:mod:`repro.fleet.policies`) decides where each service runs on the
-growing/shrinking cluster (:mod:`repro.fleet.cluster`). Two engines
-share one scoring core (:mod:`repro.fleet.engine`): the time-stepped
-:class:`FleetEngine` advances epoch by epoch, while the
-continuous-time :class:`EventEngine` pops typed events
-(:mod:`repro.fleet.events`) — timed arrivals, mid-epoch traffic change
-points, timed migrations, NIC spin-up — and scores lazily at
-observation points, gathering all changed NICs into one
-:meth:`SmartNic.run_batch` call per hardware target. Both accumulate
-SLA-violation, utilisation, wastage and migration-cost series; the
-event engine adds second-granularity violation/drop integrals.
+growing/shrinking cluster (:mod:`repro.fleet.cluster`). One loop
+(:mod:`repro.fleet.engine`) computes the trajectory: the
+:class:`EventEngine` pops typed events (:mod:`repro.fleet.events`) —
+timed arrivals, traffic change points, timed migrations, NIC spin-up,
+faults — and scores lazily at observation points, gathering all
+changed NICs into one :meth:`SmartNic.run_batch` call per hardware
+target. :class:`FleetEngine` is that loop fixed to the epoch grid
+(:meth:`EventConfig.epoch_equivalent`) and returns the per-epoch
+:class:`FleetReport` of SLA-violation, utilisation, wastage and
+migration-cost series; a continuous :class:`EventEngine` run wraps the
+same report with second-granularity violation/drop integrals, and
+the loop's whole state is one checkpointable :class:`FleetState`.
 
 The **front door** is :class:`FleetConfig` + :func:`simulate`: one
 validated object holding every knob (engine, churn, policy, hardware
 mix, pod topology, execution runtime), one call returning the report.
 The CLI (``python -m repro.fleet --epochs 20 --policy yala``;
-``--engine event`` for the continuous-time engine) and the ``fleet`` /
+``--engine event`` for continuous time) and the ``fleet`` /
 ``fleet-event`` experiments are thin callers of it. Scoring executes
 on an execution :class:`Runtime` (:mod:`repro.fleet.runtime`):
 ``serial`` in-process (the oracle arm) or ``process`` sharding the
@@ -28,7 +30,7 @@ fleet's pods (:mod:`repro.fleet.topology`) across workers — same seed
 
 **Faults are first-class** (:mod:`repro.fleet.faults`): a seeded
 :class:`FaultSchedule` injects NIC hard failures, degraded-capacity
-windows and pod outages into either engine; evicted services queue for
+windows and pod outages as timed events; evicted services queue for
 policy-driven re-placement and the schema-v3 report carries a
 ``faults`` accounting section. The :class:`ProcessRuntime` survives
 worker crashes (timeout + retry + deterministic serial re-execution),
@@ -82,6 +84,7 @@ from repro.fleet.engine import (
     EventReport,
     FleetEngine,
     FleetReport,
+    FleetState,
     ObservationRecord,
     PoolMetrics,
 )
@@ -103,7 +106,6 @@ from repro.fleet.events import (
     TrafficChange,
 )
 from repro.fleet.faults import (
-    EpochFaultDriver,
     FaultConfig,
     FaultSchedule,
     NicFault,
@@ -146,7 +148,6 @@ __all__ = [
     "Departure",
     "ENGINE_NAMES",
     "EVENT_TYPES",
-    "EpochFaultDriver",
     "EpochMetrics",
     "Event",
     "EventConfig",
@@ -163,6 +164,7 @@ __all__ = [
     "FleetEngine",
     "FleetNic",
     "FleetReport",
+    "FleetState",
     "MigrationComplete",
     "MigrationRecord",
     "MigrationStart",

@@ -1,15 +1,15 @@
 """CLI for the fleet serving simulator.
 
 ``python -m repro.fleet --epochs 20 --policy yala`` trains the
-predictors the chosen policy needs, runs the time-stepped fleet
-simulation and prints a text (or ``--format json``) report. A
+predictors the chosen policy needs, runs the fleet simulation on the
+epoch grid and prints a text (or ``--format json``) report. A
 heterogeneous pool is one flag away: ``--nic-mix
 bluefield2=0.7,pensando=0.3`` provisions a seeded mixed fleet and
 trains the policy's predictors per hardware target; the report header
 then carries the per-pool NIC composition and per-target
 utilisation/wastage breakdowns.
 
-``--engine event`` switches to the continuous-time event engine:
+``--engine event`` runs the same event loop in continuous time:
 arrivals land at Poisson instants inside each epoch, migrations take
 ``--migration-duration`` seconds (contending on both NICs while in
 flight), fresh NICs boot for ``--spinup-latency`` seconds, and the
@@ -138,12 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "runtime (results identical at any job count)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="deprecated alias of --jobs",
-    )
-    parser.add_argument(
         "--nf-pool",
         default=",".join(DEFAULT_POOL),
         help="comma-separated NF names services are drawn from",
@@ -159,8 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="epoch",
         choices=("epoch", "event"),
-        help="'epoch' is the time-stepped engine; 'event' the "
-        "continuous-time event engine",
+        help="'epoch' runs the event loop on the epoch grid and reports "
+        "per epoch; 'event' runs it in continuous time (the event knobs "
+        "below) and adds the second-granularity report",
     )
     parser.add_argument(
         "--runtime",

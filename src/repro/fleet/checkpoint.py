@@ -1,16 +1,17 @@
 """Crash-surviving engine snapshots (``--checkpoint-every`` / ``--resume``).
 
 A long fleet simulation that dies mid-run — OOM kill, pre-emption, a
-pulled plug — currently loses everything. This module gives both
-engines periodic state snapshots with a **byte-identity contract**: a
-run resumed from any checkpoint produces the *identical* final report,
-byte for byte, as the uninterrupted run. That works because every
-source of randomness in the fleet is a pure function of ``(seed,
-entity)`` — churn, NIC mixes, fault schedules, traces — so the only
-state a snapshot must carry is the mutable trajectory (cluster, event
-queue, accumulated report, integration counters). Pure caches (the
-collector's solo cache, nothing else) are deliberately *not* saved:
-they refill on demand with bit-identical values.
+pulled plug — would otherwise lose everything. This module gives the
+fleet engine periodic state snapshots with a **byte-identity
+contract**: a run resumed from any checkpoint produces the *identical*
+final report, byte for byte, as the uninterrupted run. That works
+because every source of randomness in the fleet is a pure function of
+``(seed, entity)`` — churn, NIC mixes, fault schedules, traces — so the
+only state a snapshot must carry is the mutable trajectory: the
+engine's :class:`~repro.fleet.engine.FleetState` (cluster, event queue,
+accumulated report, integrals, caches). Pure caches that refill on
+demand with bit-identical values (the collectors' solo caches) are
+deliberately *not* saved.
 
 Snapshots are single-``pickle`` payloads written atomically (temp file
 in the target directory + :func:`os.replace`), so a run killed mid-save
@@ -19,7 +20,10 @@ payload carries a **fingerprint** — the run's configuration dict minus
 execution-only knobs — and :func:`load_checkpoint` refuses a snapshot
 whose fingerprint does not match the resuming configuration: resuming
 epoch 7 of one scenario into a different scenario would silently
-produce garbage, so it is an error instead.
+produce garbage, so it is an error instead. A snapshot pickled by a
+different code revision (one naming a class that has since moved or
+gone) is refused with the same kind of error, never a raw pickle
+traceback.
 """
 
 from __future__ import annotations
@@ -33,10 +37,12 @@ from repro.errors import ConfigurationError
 
 #: Version of the snapshot payload layout. Bumped on incompatible
 #: changes; :func:`load_checkpoint` rejects other versions. v2 added
-#: the telemetry accumulator to both engines' state dicts; v3 the
+#: the telemetry accumulator to the engines' state dicts; v3 the
 #: warm-start solution cache (present even when empty, so resumed
-#: warm runs stay byte-identical to uninterrupted ones).
-CHECKPOINT_VERSION = 3
+#: warm runs stay byte-identical to uninterrupted ones); v4 replaced
+#: the per-engine state dicts with one pickled
+#: :class:`~repro.fleet.engine.FleetState`.
+CHECKPOINT_VERSION = 4
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -71,11 +77,10 @@ def atomic_write_text(path: str, text: str) -> None:
 class Checkpointer:
     """Periodic snapshot writer one engine run drives.
 
-    ``every`` counts the engine's own steps (epochs for the epoch
-    engine, on-grid probes for the event engine — the same grid, so one
-    knob serves both). ``fingerprint`` is any JSON-ready dict
-    identifying the run configuration; it is stored in every snapshot
-    and checked on load.
+    ``every`` counts on-grid probes: one per epoch whatever the engine
+    configuration, so ``every=N`` snapshots every N epochs.
+    ``fingerprint`` is any JSON-ready dict identifying the run
+    configuration; it is stored in every snapshot and checked on load.
     """
 
     def __init__(self, path: str, every: int, fingerprint: dict) -> None:
@@ -96,7 +101,7 @@ class Checkpointer:
     def every(self) -> int:
         return self._every
 
-    def maybe_save(self, step: int, state: dict) -> bool:
+    def maybe_save(self, step: int, state: Any) -> bool:
         """Snapshot if ``step`` completes an interval; returns whether
         a snapshot was written. ``step`` is the number of completed
         engine steps (1-based), so ``every=N`` saves after steps N,
@@ -106,7 +111,7 @@ class Checkpointer:
         self.save(step, state)
         return True
 
-    def save(self, step: int, state: dict) -> None:
+    def save(self, step: int, state: Any) -> None:
         payload = {
             "version": CHECKPOINT_VERSION,
             "fingerprint": self._fingerprint,
@@ -122,7 +127,7 @@ class Checkpointer:
 
 def load_checkpoint(
     path: str, fingerprint: Optional[dict] = None
-) -> tuple[int, dict[str, Any]]:
+) -> tuple[int, Any]:
     """Load a snapshot; returns ``(step, state)``.
 
     With a ``fingerprint`` the snapshot's stored fingerprint must match
@@ -137,6 +142,13 @@ def load_checkpoint(
     except (pickle.UnpicklingError, EOFError) as exc:
         raise ConfigurationError(
             f"checkpoint {path!r} is corrupt: {exc}"
+        ) from None
+    except (AttributeError, ImportError) as exc:
+        # The payload names a class or module this revision does not
+        # have: it was pickled by a different revision of the code.
+        raise ConfigurationError(
+            f"checkpoint {path!r} was written by a different code "
+            f"revision and cannot be loaded by this one ({exc})"
         ) from None
     if not isinstance(payload, dict) or "state" not in payload:
         raise ConfigurationError(f"checkpoint {path!r} is not a snapshot")

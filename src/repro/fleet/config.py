@@ -20,15 +20,12 @@ knobs **byte-identically** (tier-1 pinned) — the CLI and the ``fleet`` /
 ``fleet-event`` experiments are thin callers of this module.
 
 Naming note: ``jobs`` is the repo-wide name for worker-process counts
-(predictor training *and* the process execution runtime share it);
-``workers=`` survives only as a deprecated alias on
-:class:`~repro.fleet.runtime.ProcessRuntime` and the CLI flag.
+(predictor training *and* the process execution runtime share it).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 from repro.core.predictor import YalaSystem
@@ -297,21 +294,7 @@ class FleetConfig:
 
     @classmethod
     def from_cli_args(cls, args) -> "FleetConfig":
-        """Build a config from the ``python -m repro.fleet`` namespace.
-
-        ``--workers`` (deprecated alias of ``--jobs``) is honoured here
-        with a warning so old invocations keep working.
-        """
-        jobs = args.jobs
-        workers = getattr(args, "workers", None)
-        if workers is not None:
-            warnings.warn(
-                "--workers is deprecated; use --jobs (the repo-wide name "
-                "for worker-process counts)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            jobs = workers
+        """Build a config from the ``python -m repro.fleet`` namespace."""
         nf_pool = tuple(
             name.strip() for name in args.nf_pool.split(",") if name.strip()
         )
@@ -331,7 +314,7 @@ class FleetConfig:
             pod_size=args.pod_size,
             quota=args.quota,
             runtime=args.runtime,
-            jobs=jobs,
+            jobs=args.jobs,
             quantize_arrivals=args.quantize_arrivals,
             migration_duration=args.migration_duration,
             cross_pod_migration_duration=args.cross_pod_migration_duration,

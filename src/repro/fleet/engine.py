@@ -1,69 +1,64 @@
-"""The fleet engines: churn, dynamic traffic, placement, scoring.
+"""The fleet engine: churn, dynamic traffic, placement, scoring.
 
 This is the paper's §7.5 taken online. The one-shot evaluations place a
 fixed arrival sequence (scheduling, §7.5.1) or probe one operating
-point (diagnosis, §7.5.2); the fleet engines instead advance a
+point (diagnosis, §7.5.2); the fleet engine instead advances a
 SmartNIC cluster through time while services arrive and depart
 (:mod:`repro.fleet.churn`), every resident's traffic profile evolves
 along its trace (:mod:`repro.fleet.traces`), and an online policy
 decides placements and migrations using exactly the predictors the
 paper's scheduler uses (:mod:`repro.fleet.policies`).
 
-Two engines share one scoring core:
+One loop computes every trajectory. :class:`EventEngine` pops typed
+events (:mod:`repro.fleet.events`) off a deterministic queue. Events
+that share a timestamp run in a fixed priority order, which is the
+order of an epoch's phases:
 
-- :class:`FleetEngine` — the historical *time-stepped* engine. Each
-  epoch proceeds in five phases:
+0. **Faults** — NIC restores, pod restores, pod outages, then NIC
+   failures and degradations (:mod:`repro.fleet.faults`).
+1. **Departures** — services whose lifetime ended leave; empty NICs
+   retire.
+2. **Traffic changes** — a service's traffic becomes its trace's
+   profile at this instant (the dynamic-traffic regime of §7.5.2's
+   MTBR sweep, generalised to all attributes).
+3. **Rebalancing** — finished migrations land, fault-evicted services
+   re-place, and the policy may migrate residents based on the drops
+   of the *previous* observation (the diagnosis-triggered
+   ``rebalance`` policy migrates the bottlenecked NF of each violating
+   NIC, mirroring how §7.5.2's operator reacts to a diagnosis).
+4. **Arrivals** — new services are placed one by one (the online
+   regime of §7.5.1, with predictions evaluated at the service's
+   *current* traffic).
+5. **Probes** — ground-truth scoring.
 
-  1. **Departures** — services whose lifetime ended leave; empty NICs
-     retire.
-  2. **Traffic evolution** — every remaining service's traffic becomes
-     its trace's profile for this epoch (the dynamic-traffic regime of
-     §7.5.2's MTBR sweep, generalised to all attributes).
-  3. **Rebalancing** — the policy may migrate residents based on the
-     *previous* epoch's measured drops (the diagnosis-triggered
-     ``rebalance`` policy migrates the bottlenecked NF of each
-     violating NIC, mirroring how §7.5.2's operator reacts to a
-     diagnosis).
-  4. **Arrivals** — new services are placed one by one (the online
-     regime of §7.5.1, with predictions evaluated at the service's
-     *current* traffic).
-  5. **Ground-truth scoring** — the simulator runs every NIC's
-     resident mix under the epoch's traffic, all uncached mixes in
-     **one** :meth:`SmartNic.run_batch` call per hardware target
-     (``score_mode="batch"``); ``score_mode="loop"`` solves the
-     identical scenario lists with per-scenario :meth:`SmartNic.run`
-     calls and is the bit-exactness oracle.
+Scoring is *lazy*: the cluster is only scored at **observation
+points** — every probe, plus (``observe_changes``) every timestamp at
+which fleet state actually changed. Each observation gathers all NICs
+whose mix is not in the persistent mix cache into **one**
+:meth:`SmartNic.run_batch` call per hardware target
+(``score_mode="batch"``); ``score_mode="loop"`` solves the identical
+scenario lists with per-scenario :meth:`SmartNic.run` calls and is the
+bit-exactness oracle. Between observation points SLA violations and
+drops are integrated left-Riemann style into second-granularity
+``violation_service_seconds`` / ``drop_service_seconds``. The
+:class:`~repro.fleet.events.EventConfig` knobs model Poisson arrival
+*times* inside each epoch, traffic change points that sit between
+epochs (a flash crowd's mid-epoch onset), *timed migrations* (the
+service contends on source and destination for ``migration_duration``
+seconds) and NIC spin-up latency (a booting NIC's residents score as
+full drops until ``ready_at``; boot completion becomes visible at the
+next observation point).
 
-- :class:`EventEngine` — the *continuous-time* engine. It pops typed
-  events (:mod:`repro.fleet.events`) off a deterministic queue and maps
-  them onto the same five phases via the per-timestamp priority order:
-  :class:`~repro.fleet.events.Departure` (phase 1) before
-  :class:`~repro.fleet.events.TrafficChange` (phase 2) before
-  :class:`~repro.fleet.events.MigrationComplete` and
-  :class:`~repro.fleet.events.RebalanceTimer` (phase 3) before
-  :class:`~repro.fleet.events.Arrival` (phase 4) before
-  :class:`~repro.fleet.events.Probe` (phase 5). Scoring is *lazy*: the
-  cluster is only scored at **observation points** — every probe, plus
-  (``observe_changes``) every timestamp at which fleet state actually
-  changed — and each observation gathers all NICs whose mix is not in
-  the persistent mix cache into one ``run_batch`` call per hardware
-  target, exactly like an epoch scoring pass. Between observation
-  points SLA violations and drops are integrated left-Riemann style
-  into second-granularity ``violation_service_seconds`` /
-  ``drop_service_seconds``. Beyond the epoch engine's reach it models
-  Poisson arrival *times* inside each epoch, traffic change points that
-  sit between epochs (a flash crowd's mid-epoch onset), *timed
-  migrations* (the service contends on source and destination for
-  ``migration_duration`` seconds) and NIC spin-up latency (a booting
-  NIC's residents score as full drops until ``ready_at``; boot
-  completion becomes visible at the next observation point).
+:class:`FleetEngine` is the same loop fixed to
+:meth:`~repro.fleet.events.EventConfig.epoch_equivalent` — arrivals
+quantized to epoch boundaries, free migrations, no spin-up latency,
+unit probe and rebalance periods, scoring only at probes. Its
+``run(epochs)`` returns the epoch-grid :class:`FleetReport`: one
+second per epoch, one row per probe.
 
-  Under :meth:`~repro.fleet.events.EventConfig.epoch_equivalent` —
-  arrivals quantized to epoch boundaries, free migrations, no spin-up
-  latency, unit probe/rebalance periods — the event engine reproduces
-  the epoch engine's :class:`FleetReport` **byte-identically** (JSON
-  and rendered text), which is the contract that lets the epoch engine
-  remain the coarse, cheap twin.
+Everything one run carries from one timestamp to the next is one
+:class:`FleetState`. A checkpoint pickles exactly that object, and a
+run resumed from it finishes byte-identical to the uninterrupted one.
 
 Fleets may be **heterogeneous**: a :class:`~repro.fleet.cluster.
 NicProvisioner` mixes hardware targets in one pool, each NIC is scored
@@ -77,8 +72,7 @@ migration-cost time series of the :class:`FleetReport`, and are handed
 to the policy as ``last_drops`` at the next rebalancing decision.
 Everything is deterministic in ``(churn seed, nic mix, trained model,
 event config)``: two runs with the same configuration produce
-byte-identical JSON reports and — for the event engine — identical
-event logs.
+byte-identical JSON reports and identical event logs.
 """
 
 from __future__ import annotations
@@ -115,7 +109,7 @@ from repro.fleet.events import (
     RebalanceTimer,
     TrafficChange,
 )
-from repro.fleet.faults import EpochFaultDriver, FaultSchedule, faults_payload
+from repro.fleet.faults import FaultSchedule, faults_payload
 from repro.fleet.policies import FleetPolicy, PlacementModel, make_policy
 from repro.fleet.runtime import PodScoreTask, Runtime, make_runtime
 from repro.fleet.topology import Topology
@@ -353,13 +347,14 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+
 # ----------------------------------------------------------------------
-# Shared scoring core
+# Scoring core
 # ----------------------------------------------------------------------
-# Both engines score through these module-level helpers so the numbers
-# can only agree: same cache keys, same scenario construction, same
-# read-out iteration order (dict insertion order feeds float sums, so
-# iteration order *is* part of the byte-determinism contract).
+# Every observation scores through these module-level helpers: same
+# cache keys, same scenario construction, same read-out iteration order
+# (dict insertion order feeds float sums, so iteration order *is* part
+# of the byte-determinism contract).
 
 
 def _mix_key(residents: list[ServiceInstance]) -> tuple:
@@ -412,15 +407,14 @@ def _score_cluster(
     mix_cache: dict[tuple, list[tuple[float, float]]],
     score_mode: str,
     runtime: Runtime,
-    now: Optional[float] = None,
+    now: float,
     seed: int = 0,
     obs: Recorder = NULL_RECORDER,
-    sim_time: float = 0.0,
     telemetry: Optional[TelemetryAccumulator] = None,
     warm_start: bool = False,
     warm_cache: Optional[dict] = None,
 ) -> tuple[dict[str, float], dict[str, float]]:
-    """Measured drop and throughput of every resident service.
+    """Measured drop and throughput of every resident service at ``now``.
 
     Gathers every uncached multi-resident mix, groups the work **by
     pod** (the cluster's :class:`~repro.fleet.topology.Topology`; the
@@ -440,8 +434,7 @@ def _score_cluster(
     points, only NICs whose mix actually changed ("dirty" NICs) cost a
     solve.
 
-    ``now`` enables the continuous-time refinements (``None`` is the
-    epoch engine's instantaneous world, kept bit-identical):
+    Continuous-time refinements (inert under the epoch preset):
 
     - a NIC still booting (``ready_at > now``) is not solved; its
       resident services score as full drops (zero throughput);
@@ -461,11 +454,10 @@ def _score_cluster(
       re-placed) score as full drops with zero throughput — they are
       not serving.
 
-    Telemetry (``obs`` / ``sim_time`` / ``telemetry``) is strictly
-    read-only with respect to results: it observes the solve (pod task
-    shapes, per-mix iterations-to-converge, prediction-vs-ground-truth
-    residuals) keyed by simulated time, and both engines feed it from
-    this one site so the ``sim`` channel can only agree across engines.
+    Telemetry (``obs`` / ``telemetry``) is strictly read-only with
+    respect to results: it observes the solve (pod task shapes, per-mix
+    iterations-to-converge, prediction-vs-ground-truth residuals) keyed
+    by simulated time ``now``.
 
     ``warm_start`` / ``warm_cache`` enable cross-pass incremental
     solving (see ``docs/incremental_solving.md``): ``warm_cache`` maps
@@ -496,7 +488,7 @@ def _score_cluster(
     warm_of: dict[tuple, Optional[tuple[float, ...]]] = {}
     warm_hits = warm_misses = warm_invalidations = 0
     for nic in cluster.nics:
-        if now is not None and nic.ready_at > now:
+        if nic.ready_at > now:
             continue  # booting: residents score as full drops below
         if len(nic.residents) < 2:
             continue
@@ -569,7 +561,7 @@ def _score_cluster(
     )
     if telemetry is not None:
         telemetry.record_scoring(
-            sim_time,
+            now,
             [(task.pod_id, task.scenario_count) for task in tasks],
             iteration_counts,
             warm_flags=warm_flags,
@@ -608,7 +600,7 @@ def _score_cluster(
             if warm_invalidations:
                 obs.counter("warm_cache.invalidations", warm_invalidations)
         obs.event(
-            sim_time, "score", chan="sim",
+            now, "score", chan="sim",
             mixes_solved=len(mix_order),
             iterations=sum(iteration_counts),
             pods=[[task.pod_id, task.scenario_count] for task in tasks],
@@ -617,7 +609,7 @@ def _score_cluster(
     drops: dict[str, float] = {}
     throughputs: dict[str, float] = {}
     for nic in cluster.nics:
-        if now is not None and nic.ready_at > now:
+        if nic.ready_at > now:
             for resident in nic.residents:
                 if cluster.is_home(nic, resident.instance_id):
                     drops[resident.instance_id] = 1.0
@@ -626,7 +618,7 @@ def _score_cluster(
         cap = nic.capacity_fraction
         if len(nic.residents) == 1:
             resident = nic.residents[0]
-            if now is None or cluster.is_home(nic, resident.instance_id):
+            if cluster.is_home(nic, resident.instance_id):
                 solo = _solo_throughput(
                     model, resident.nf_name, resident.traffic, nic.target
                 )
@@ -649,7 +641,7 @@ def _score_cluster(
                 tuple(achieved for _, achieved in entries),
             )
         for resident, (drop, throughput) in zip(nic.residents, entries):
-            if now is None or cluster.is_home(nic, resident.instance_id):
+            if cluster.is_home(nic, resident.instance_id):
                 if cap != 1.0:
                     solo = _solo_throughput(
                         model, resident.nf_name, resident.traffic, nic.target
@@ -675,32 +667,12 @@ def _score_cluster(
     return drops, throughputs
 
 
-def _emit_epoch_row(obs: Recorder, t: float, row: EpochMetrics) -> None:
-    """Emit one epoch-grid metrics row on the ``sim`` channel.
-
-    Both engines call this with the :class:`EpochMetrics` row they just
-    appended — the rows themselves are byte-identical under
-    ``EventConfig.epoch_equivalent()`` (tier-1 pinned), so sourcing the
-    event from the row makes cross-engine agreement structural.
-    """
-    obs.event(
-        t, "epoch.metrics", chan="sim",
-        epoch=row.epoch,
-        services=row.services,
-        nics_used=row.nics_used,
-        arrivals=row.arrivals,
-        departures=row.departures,
-        migrations=row.migrations,
-        sla_violations=row.sla_violations,
-    )
-
-
 def _live_services(cluster: Cluster) -> list[ServiceInstance]:
     """Every service the fleet is responsible for this instant: placed
     residents (home-NIC order) then the re-placement queue (eviction
-    order). Both engines count services, violations and drop sums over
-    this list, in this order — the iteration order feeds float sums,
-    so it is part of the byte-determinism contract."""
+    order). Services, violations and drop sums are counted over this
+    list, in this order — the iteration order feeds float sums, so it
+    is part of the byte-determinism contract."""
     live = cluster.services
     if cluster.evicted:
         live = live + [entry.instance for entry in cluster.evicted]
@@ -715,8 +687,8 @@ def _failure_attribution(
     Counted over (a) the re-placement queue — every queued service is
     fully down because a fault displaced it — and (b) home residents of
     currently *degraded* NICs, whose measured drop is the derated one.
-    Returns ``(violation count, drop sum)``; both engines integrate
-    these over time into the ``faults`` section's
+    Returns ``(violation count, drop sum)``, which the engine
+    integrates over time into the ``faults`` section's
     ``failure_violation_service_seconds`` /
     ``failure_drop_service_seconds``.
     """
@@ -786,348 +758,8 @@ def _pool_rows(
     return rows
 
 
-def _validate_pool(
-    policy: FleetPolicy | str,
-    model: PlacementModel,
-    score_mode: str,
-    provisioner: Optional[NicProvisioner],
-) -> tuple[FleetPolicy, NicProvisioner]:
-    """Shared engine-constructor validation (both engines, same rules)."""
-    if score_mode not in ("batch", "loop"):
-        raise ConfigurationError("score_mode must be 'batch' or 'loop'")
-    resolved = make_policy(policy) if isinstance(policy, str) else policy
-    if provisioner is None:
-        # Historical homogeneous behaviour: every NIC is the model's
-        # default target.
-        provisioner = NicProvisioner.constant(model.nic.spec)
-    for target in provisioner.target_names:
-        if target not in model.target_names:
-            raise ConfigurationError(
-                f"nic-mix target {target!r} has no placement model; "
-                f"registered: {list(model.target_names)}"
-            )
-    return resolved, provisioner
-
-
-class FleetEngine:
-    """Drives one policy through the time-stepped fleet simulation.
-
-    ``runtime`` names the execution runtime scoring runs on (a
-    :class:`~repro.fleet.runtime.Runtime` instance, ``"serial"`` /
-    ``"process"``, or ``None`` for serial) and ``topology`` the pod
-    layout (``None`` = flat). Both are report-invariant: same seed ⇒
-    byte-identical reports at any runtime/worker count.
-    """
-
-    def __init__(
-        self,
-        policy: FleetPolicy | str,
-        churn: ChurnProcess,
-        model: PlacementModel,
-        score_mode: str = "batch",
-        provisioner: Optional[NicProvisioner] = None,
-        runtime: "Runtime | str | None" = None,
-        topology: Optional[Topology] = None,
-        faults: Optional[FaultSchedule] = None,
-        recorder: Optional[Recorder] = None,
-        warm_start: bool = False,
-    ) -> None:
-        self._policy, self._provisioner = _validate_pool(
-            policy, model, score_mode, provisioner
-        )
-        self._churn = churn
-        self._model = model
-        self._targets = self._provisioner.target_names
-        self._score_mode = score_mode
-        self._runtime = make_runtime(runtime)
-        self._topology = topology if topology is not None else Topology()
-        self._faults = faults
-        self._obs = recorder if recorder is not None else NULL_RECORDER
-        #: Cross-epoch warm-started fixed points (default off — the
-        #: oracle arm); see :func:`_score_cluster` and
-        #: ``docs/incremental_solving.md``.
-        self._warm_start = bool(warm_start)
-
-    @property
-    def policy_name(self) -> str:
-        return self._policy.name
-
-    @property
-    def runtime(self) -> Runtime:
-        return self._runtime
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        epochs: int,
-        checkpoint: Optional[Checkpointer] = None,
-        resume: Optional[dict] = None,
-    ) -> FleetReport:
-        """Simulate ``epochs`` epochs; returns the scored trajectory.
-
-        Stateless across calls: every invocation rebuilds the cluster
-        and the scoring caches, so repeated runs of one engine are
-        bit-identical.
-
-        ``checkpoint`` snapshots the engine state after every interval
-        of completed epochs; ``resume`` is a snapshot's state dict
-        (:func:`~repro.fleet.checkpoint.load_checkpoint`), from which
-        the run continues to a final report byte-identical to the
-        uninterrupted one.
-        """
-        try:
-            # The attached recorder doubles as the process-wide active
-            # recorder for the run, so recorder-less layers (the batch
-            # solver) can report exec-channel metrics into it.
-            with use_recorder(self._obs):
-                return self._run(epochs, checkpoint, resume)
-        except BaseException:
-            # The engine owns its runtime's lifecycle on error paths: a
-            # failing run must not leak worker pools. (Success keeps
-            # the pool warm for the next run; close() is idempotent and
-            # the pool rebuilds on demand.)
-            self._runtime.close()
-            raise
-
-    def _run(
-        self,
-        epochs: int,
-        checkpoint: Optional[Checkpointer],
-        resume: Optional[dict],
-    ) -> FleetReport:
-        if epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        obs = self._obs
-        self._runtime.bind(
-            {t: self._model.nic_for(t) for t in self._targets}
-        )
-        self._runtime.observe(obs)
-        for target in self._targets:
-            self._model.collector_for(target).observe(obs)
-        if resume is not None:
-            if resume.get("engine") != "epoch":
-                raise ConfigurationError(
-                    "this checkpoint was written by the event engine; "
-                    "resume it with EventEngine.run"
-                )
-            start_epoch = resume["next_epoch"]
-            if start_epoch > epochs:
-                raise ConfigurationError(
-                    f"checkpoint is {start_epoch} epochs in; the run is "
-                    f"only {epochs}"
-                )
-            cluster = resume["cluster"]
-            driver = resume["driver"]
-            mix_cache = resume["mix_cache"]
-            report = resume["report"]
-            last_drops = resume["last_drops"]
-            fail_viol_seconds = resume["fail_viol_seconds"]
-            fail_drop_seconds = resume["fail_drop_seconds"]
-            telemetry = resume["telemetry"]
-            warm_cache = resume["warm_cache"]
-            if self._warm_start:
-                # The snapshot may predate the knob (a cold build epoch
-                # resumed into a warm run): the engine's flag, not the
-                # snapshot's, decides whether warm telemetry reports.
-                telemetry.enable_warm()
-        else:
-            start_epoch = 0
-            cluster = Cluster(self._provisioner, topology=self._topology)
-            driver = None
-            if self._faults is not None and self._faults.config.any_faults:
-                driver = EpochFaultDriver(self._faults)
-                driver.arm_pods(self._topology.pods)
-                cluster.collect_new_nics = True
-            mix_cache: dict[tuple, list[tuple[float, float]]] = {}
-            report = FleetReport(
-                policy=self._policy.name,
-                seed=self._churn.seed,
-                epochs=epochs,
-                score_mode=self._score_mode,
-                nic_mix=self._provisioner.mix,
-                topology=self._topology.to_dict(),
-            )
-            last_drops = {}
-            fail_viol_seconds = 0.0
-            fail_drop_seconds = 0.0
-            telemetry = TelemetryAccumulator()
-            warm_cache: dict = {}
-            if self._warm_start:
-                telemetry.enable_warm()
-
-        for epoch in range(start_epoch, epochs):
-            now = float(epoch)
-            cluster.now = now
-
-            # 0. Fault transitions due at this boundary (restores
-            # before outages before NIC faults — the event queue's
-            # priority order at one timestamp).
-            with obs.span(now, "phase.faults", epoch=epoch):
-                if driver is not None:
-                    driver.apply(cluster, now, obs=obs)
-
-            # 1. Departures — placed services and queued evictees whose
-            # lifetime ran out while they waited (those are *lost*).
-            with obs.span(now, "phase.departures", epoch=epoch) as span:
-                departures = 0
-                for instance in cluster.services:
-                    if instance.request.departure_epoch <= epoch:
-                        cluster.remove(instance.instance_id)
-                        departures += 1
-                for entry in list(cluster.evicted):
-                    if entry.instance.request.departure_epoch <= epoch:
-                        cluster.drop_evicted(entry.instance.instance_id)
-                        departures += 1
-                span.add(departures=departures)
-
-            # 2. Traffic evolution along each service's trace (queued
-            # services keep evolving — they re-place at *current*
-            # traffic).
-            with obs.span(now, "phase.traffic", epoch=epoch) as span:
-                for instance in cluster.services:
-                    instance.traffic = (
-                        instance.request.trace.profile_at(epoch)
-                    )
-                for entry in cluster.evicted:
-                    entry.instance.traffic = (
-                        entry.instance.request.trace.profile_at(epoch)
-                    )
-                span.add(services=len(cluster.services))
-
-            # 2b. Warm this epoch's solo baselines (residents and
-            # arrivals at their current traffic) through the collector,
-            # in one run_batch call, so the policies' feasibility probes
-            # and the scoring drops all hit the cache. The loop twin
-            # warms the identical set with per-pair scalar solves.
-            arrivals = self._churn.arrivals_for(epoch)
-            pairs = [
-                (r.nf_name, r.traffic) for r in _live_services(cluster)
-            ]
-            pairs.extend(
-                (request.nf_name, request.trace.profile_at(epoch))
-                for request in arrivals
-            )
-            with obs.span(now, "phase.warm", epoch=epoch, pairs=len(pairs)):
-                _warm_pairs(
-                    self._model, self._targets, pairs, self._score_mode,
-                    self._runtime,
-                )
-
-            # 3. Failover drain (evicted services re-place through the
-            # policy's own strategy), then rebalancing on the previous
-            # epoch's measured drops.
-            with obs.span(now, "phase.rebalance", epoch=epoch) as span:
-                if cluster.evicted:
-                    self._policy.replace_evicted(
-                        cluster, epoch, self._model
-                    )
-                migrations_before = len(cluster.migration_log)
-                self._policy.rebalance(
-                    cluster, epoch, self._model, last_drops
-                )
-                migrations = len(cluster.migration_log) - migrations_before
-                span.add(migrations=migrations)
-
-            # 4. Arrivals, placed online one by one. During a pod
-            # outage placement can be impossible; the arrival waits in
-            # the re-placement queue.
-            with obs.span(
-                now, "phase.arrivals", epoch=epoch, arrivals=len(arrivals)
-            ):
-                for request in arrivals:
-                    instance = ServiceInstance(
-                        request=request,
-                        traffic=request.trace.profile_at(epoch),
-                    )
-                    try:
-                        nic_id = self._policy.choose_nic(
-                            cluster, instance, self._model
-                        )
-                        cluster.place(instance, nic_id)
-                    except PlacementError:
-                        cluster.enqueue_evicted(instance)
-
-            # 5. Ground-truth scoring of every NIC's resident mix.
-            with obs.span(now, "phase.score", epoch=epoch):
-                drops, throughputs = _score_cluster(
-                    cluster, self._model, self._targets, mix_cache,
-                    self._score_mode, self._runtime, seed=self._churn.seed,
-                    obs=obs, sim_time=now, telemetry=telemetry,
-                    warm_start=self._warm_start, warm_cache=warm_cache,
-                )
-            last_drops = drops
-            live = _live_services(cluster)
-            violations = sum(
-                1
-                for instance in live
-                if drops[instance.instance_id] > instance.sla_drop_fraction
-            )
-            fail_viol, fail_drop = _failure_attribution(cluster, drops)
-            # One epoch spans exactly one second: the epoch integral
-            # adds value * 1.0 terms in epoch order, matching the event
-            # engine's left-Riemann sums bit for bit on the grid.
-            fail_viol_seconds += float(fail_viol)
-            fail_drop_seconds += fail_drop
-
-            services = len(live)
-            total_cores = sum(nic.spec.num_cores for nic in cluster.nics)
-            used_cores = sum(nic.cores_used() for nic in cluster.nics)
-            min_nics = math.ceil(services / cluster.max_residents_per_nic)
-            row = EpochMetrics(
-                epoch=epoch,
-                services=services,
-                nics_used=cluster.nics_used,
-                arrivals=len(arrivals),
-                departures=departures,
-                migrations=migrations,
-                sla_violations=violations,
-                violation_rate_pct=(
-                    100.0 * violations / services if services else 0.0
-                ),
-                utilisation_pct=(
-                    100.0 * used_cores / total_cores if total_cores else 0.0
-                ),
-                wastage_pct=(
-                    100.0 * (cluster.nics_used - min_nics) / min_nics
-                    if min_nics
-                    else 0.0
-                ),
-                aggregate_throughput_mpps=sum(throughputs.values()),
-            )
-            report.metrics.append(row)
-            if obs.enabled:
-                _emit_epoch_row(obs, now, row)
-            report.pools.extend(
-                _pool_rows(cluster, self._provisioner, self._targets, epoch)
-            )
-
-            if checkpoint is not None:
-                checkpoint.maybe_save(
-                    epoch + 1,
-                    {
-                        "engine": "epoch",
-                        "next_epoch": epoch + 1,
-                        "cluster": cluster,
-                        "driver": driver,
-                        "mix_cache": mix_cache,
-                        "report": report,
-                        "last_drops": last_drops,
-                        "fail_viol_seconds": fail_viol_seconds,
-                        "fail_drop_seconds": fail_drop_seconds,
-                        "telemetry": telemetry,
-                        "warm_cache": warm_cache,
-                    },
-                )
-        report.migrations = list(cluster.migration_log)
-        report.faults = faults_payload(
-            cluster, fail_viol_seconds, fail_drop_seconds
-        )
-        report.telemetry = telemetry.payload()
-        return report
-
-
 # ----------------------------------------------------------------------
-# Continuous-time event engine
+# The event loop
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ObservationRecord:
@@ -1216,15 +848,71 @@ class EventReport:
         return "\n".join(lines)
 
 
+@dataclass
+class FleetState:
+    """Everything one run carries from one timestamp to the next.
+
+    A checkpoint pickles exactly this object and a resumed run picks
+    it up where the snapshot left off. Pure caches that refill with
+    bit-identical values (the collectors' solo caches) are not part of
+    it.
+    """
+
+    cluster: Cluster
+    queue: EventQueue
+    report: EventReport
+    #: Every admitted service by id, placed or queued for re-placement.
+    instances: dict[str, ServiceInstance] = field(default_factory=dict)
+    #: ``(target, mix key)`` -> per-resident ``(drop, throughput)``.
+    mix_cache: dict[tuple, list[tuple[float, float]]] = field(
+        default_factory=dict
+    )
+    telemetry: TelemetryAccumulator = field(
+        default_factory=TelemetryAccumulator
+    )
+    #: Per-NIC warm-start vectors (see :func:`_score_cluster`).
+    warm_cache: dict = field(default_factory=dict)
+    #: The last observation's drops: the policies' ``last_drops``.
+    last_drops: dict[str, float] = field(default_factory=dict)
+    # Left-Riemann integrals: the last observation's time and values,
+    # and the fault-attributed totals (the other two live on the report).
+    prev_t: float = 0.0
+    prev_violations: int = 0
+    prev_drop_sum: float = 0.0
+    prev_fail_viol: int = 0
+    prev_fail_drop: float = 0.0
+    fail_viol_seconds: float = 0.0
+    fail_drop_seconds: float = 0.0
+    # Epoch-row counters since the last on-grid probe, and the next
+    # positions on the probe and rebalance grids.
+    arrivals_since: int = 0
+    departures_since: int = 0
+    migrations_at_probe: int = 0
+    probe_index: int = 0
+    rebalance_index: int = 0
+
+    def integrate(self, t: float) -> None:
+        """Advance every integral to ``t`` at the last observed values."""
+        dt = t - self.prev_t
+        self.report.violation_service_seconds += dt * self.prev_violations
+        self.report.drop_service_seconds += dt * self.prev_drop_sum
+        self.fail_viol_seconds += dt * self.prev_fail_viol
+        self.fail_drop_seconds += dt * self.prev_fail_drop
+        self.prev_t = t
+
+
 class EventEngine:
     """Drives one policy through the continuous-time fleet simulation.
 
-    Same constructor contract as :class:`FleetEngine` plus an
-    :class:`~repro.fleet.events.EventConfig`. ``run(horizon)`` advances
-    the fleet to ``horizon`` seconds (one epoch of the time-stepped
-    engine = one second) and returns an :class:`EventReport` whose
-    ``fleet`` member is byte-identical to ``FleetEngine.run(horizon)``'s
-    report under :meth:`EventConfig.epoch_equivalent`.
+    ``run(horizon)`` advances the fleet to ``horizon`` seconds (one
+    epoch = one second) under ``config`` (an
+    :class:`~repro.fleet.events.EventConfig`; the default is fully
+    continuous) and returns an :class:`EventReport`. ``runtime`` names
+    the execution runtime scoring runs on (a
+    :class:`~repro.fleet.runtime.Runtime` instance, ``"serial"`` /
+    ``"process"``, or ``None`` for serial) and ``topology`` the pod
+    layout (``None`` = flat). Both are report-invariant: same seed ⇒
+    byte-identical reports at any runtime/worker count.
     """
 
     def __init__(
@@ -1241,20 +929,34 @@ class EventEngine:
         recorder: Optional[Recorder] = None,
         warm_start: bool = False,
     ) -> None:
-        self._policy, self._provisioner = _validate_pool(
-            policy, model, score_mode, provisioner
-        )
+        if score_mode not in ("batch", "loop"):
+            raise ConfigurationError("score_mode must be 'batch' or 'loop'")
+        self._policy = make_policy(policy) if isinstance(policy, str) else policy
+        if provisioner is None:
+            # Homogeneous fleet: every NIC is the model's default target.
+            provisioner = NicProvisioner.constant(model.nic.spec)
+        for target in provisioner.target_names:
+            if target not in model.target_names:
+                raise ConfigurationError(
+                    f"nic-mix target {target!r} has no placement model; "
+                    f"registered: {list(model.target_names)}"
+                )
         self._churn = churn
         self._model = model
-        self._targets = self._provisioner.target_names
+        self._provisioner = provisioner
+        self._targets = provisioner.target_names
         self._score_mode = score_mode
         self._config = config if config is not None else EventConfig()
         self._runtime = make_runtime(runtime)
         self._topology = topology if topology is not None else Topology()
-        self._faults = faults
+        #: The seeded fault schedule, or ``None`` for a fault-free run.
+        self._faults = (
+            faults if faults is not None and faults.config.any_faults else None
+        )
         self._obs = recorder if recorder is not None else NULL_RECORDER
         #: Cross-pass warm-started fixed points (default off — the
-        #: oracle arm); see :func:`_score_cluster`.
+        #: oracle arm); see :func:`_score_cluster` and
+        #: ``docs/incremental_solving.md``.
         self._warm_start = bool(warm_start)
 
     @property
@@ -1274,21 +976,37 @@ class EventEngine:
         self,
         horizon: float,
         checkpoint: Optional[Checkpointer] = None,
-        resume: Optional[dict] = None,
+        resume: Optional[FleetState] = None,
     ) -> EventReport:
         """Simulate ``horizon`` seconds; returns the scored trajectory.
 
-        Stateless across calls, like :meth:`FleetEngine.run`. The
-        ``checkpoint`` / ``resume`` contract also mirrors the epoch
-        engine's: snapshots are taken after on-grid probes (the epoch
-        grid, so one ``--checkpoint-every`` knob serves both engines)
-        and a resumed run finishes byte-identical to the uninterrupted
+        Stateless across calls: every invocation rebuilds the cluster
+        and the scoring caches, so repeated runs of one engine are
+        bit-identical. ``checkpoint`` snapshots the :class:`FleetState`
+        after every ``checkpoint.every`` on-grid probes; ``resume`` is
+        such a snapshot (:func:`~repro.fleet.checkpoint.load_checkpoint`),
+        from which the run finishes byte-identical to the uninterrupted
         one.
         """
+        return self._simulate(float(horizon), checkpoint, resume)
+
+    def _simulate(
+        self,
+        horizon: float,
+        checkpoint: Optional[Checkpointer],
+        resume: Optional[FleetState],
+    ) -> EventReport:
         try:
+            # The attached recorder doubles as the process-wide active
+            # recorder for the run, so recorder-less layers (the batch
+            # solver) can report exec-channel metrics into it.
             with use_recorder(self._obs):
                 return self._run(horizon, checkpoint, resume)
         except BaseException:
+            # The engine owns its runtime's lifecycle on error paths: a
+            # failing run must not leak worker pools. (Success keeps
+            # the pool warm for the next run; close() is idempotent and
+            # the pool rebuilds on demand.)
             self._runtime.close()
             raise
 
@@ -1296,75 +1014,69 @@ class EventEngine:
         self,
         horizon: float,
         checkpoint: Optional[Checkpointer],
-        resume: Optional[dict],
+        resume: Optional[FleetState],
     ) -> EventReport:
-        horizon = float(horizon)
         if not horizon >= 1.0:
             raise ConfigurationError("horizon must be >= 1 second")
-        cfg = self._config
-        obs = self._obs
-        epochs = int(math.ceil(horizon))
         self._runtime.bind(
             {t: self._model.nic_for(t) for t in self._targets}
         )
-        self._runtime.observe(obs)
+        self._runtime.observe(self._obs)
         for target in self._targets:
-            self._model.collector_for(target).observe(obs)
-        schedule = (
-            self._faults
-            if self._faults is not None and self._faults.config.any_faults
-            else None
-        )
-
-        if resume is not None:
-            if resume.get("engine") != "event":
-                raise ConfigurationError(
-                    "this checkpoint was written by the epoch engine; "
-                    "resume it with FleetEngine.run"
-                )
-            cluster = resume["cluster"]
-            queue = resume["queue"]
-            instances = resume["instances"]
-            mix_cache = resume["mix_cache"]
-            report = resume["report"]
-            if report.horizon != horizon:
-                raise ConfigurationError(
-                    f"checkpoint was written for horizon "
-                    f"{report.horizon:g}, not {horizon:g}"
-                )
-            last_drops = resume["last_drops"]
-            prev_t = resume["prev_t"]
-            prev_violations = resume["prev_violations"]
-            prev_drop_sum = resume["prev_drop_sum"]
-            prev_fail_viol = resume["prev_fail_viol"]
-            prev_fail_drop = resume["prev_fail_drop"]
-            fail_viol_seconds = resume["fail_viol_seconds"]
-            fail_drop_seconds = resume["fail_drop_seconds"]
-            arrivals_since = resume["arrivals_since"]
-            departures_since = resume["departures_since"]
-            migrations_at_probe = resume["migrations_at_probe"]
-            probe_index = resume["probe_index"]
-            rebalance_index = resume["rebalance_index"]
-            telemetry = resume["telemetry"]
-            warm_cache = resume["warm_cache"]
-            if self._warm_start:
-                # Same rule as the epoch engine: the engine's flag, not
-                # the snapshot's, decides whether warm telemetry
-                # reports.
-                telemetry.enable_warm()
+            self._model.collector_for(target).observe(self._obs)
+        if resume is None:
+            state = self._start(horizon)
         else:
-            cluster = Cluster(self._provisioner, topology=self._topology)
-            cluster.migration_duration = cfg.migration_duration
-            cluster.cross_pod_migration_duration = (
-                cfg.cross_pod_migration_duration
-            )
-            cluster.spinup_latency = cfg.spinup_latency
-            if schedule is not None:
-                cluster.collect_new_nics = True
-            mix_cache: dict[tuple, list[tuple[float, float]]] = {}
-            queue = EventQueue()
-            instances: dict[str, ServiceInstance] = {}
-            report = EventReport(
+            state = self._resume(resume, horizon)
+        queue = state.queue
+
+        while queue and queue.peek().time < horizon:
+            t = queue.peek().time
+            state.cluster.now = t
+            dirty = probe_due = False
+            while queue and queue.peek().time == t:
+                event = self._pop(state)
+                if isinstance(event, Probe):
+                    probe_due = True
+                    state.probe_index += 1
+                    queue.push(
+                        Probe(time=state.probe_index * self._config.probe_period)
+                    )
+                elif self._apply(state, event, t):
+                    dirty = True
+            self._arm_new_nics(state)
+            if probe_due or (dirty and self._config.observe_changes):
+                self._observe(state, t, probe_due, checkpoint)
+
+        # Close the integrals out to the horizon.
+        state.integrate(horizon)
+        cluster, report = state.cluster, state.report
+        report.fleet.migrations = list(cluster.migration_log)
+        report.fleet.faults = faults_payload(
+            cluster, state.fail_viol_seconds, state.fail_drop_seconds
+        )
+        report.fleet.telemetry = state.telemetry.payload()
+        report.migrations_started = cluster.total_migrations_started
+        report.migrations_completed = len(cluster.timed_migrations)
+        report.migrations_cancelled = cluster.migrations_cancelled
+        report.timed_migrations = list(cluster.timed_migrations)
+        return report
+
+    def _start(self, horizon: float) -> FleetState:
+        """The state at t = 0: an empty fleet and the static schedule."""
+        cfg = self._config
+        cluster = Cluster(self._provisioner, topology=self._topology)
+        cluster.migration_duration = cfg.migration_duration
+        cluster.cross_pod_migration_duration = (
+            cfg.cross_pod_migration_duration
+        )
+        cluster.spinup_latency = cfg.spinup_latency
+        cluster.collect_new_nics = self._faults is not None
+        epochs = int(math.ceil(horizon))
+        state = FleetState(
+            cluster=cluster,
+            queue=EventQueue(),
+            report=EventReport(
                 fleet=FleetReport(
                     policy=self._policy.name,
                     seed=self._churn.seed,
@@ -1375,415 +1087,360 @@ class EventEngine:
                 ),
                 horizon=horizon,
                 config=cfg,
-            )
-
-            # Static schedule: every epoch's timed arrivals, the probe
-            # and rebalance grids (chained through their handlers), and
-            # — with faults — every armed pod outage (NIC faults arm
-            # dynamically as their NICs spin up).
-            for epoch in range(epochs):
-                for when, request in self._churn.arrival_times_for(
-                    epoch, quantize=cfg.quantize_arrivals
-                ):
-                    if when < horizon:
-                        queue.push(Arrival(time=when, request=request))
-            queue.push(Probe(time=0.0))
-            queue.push(RebalanceTimer(time=0.0))
-            if (
-                schedule is not None
-                and schedule.config.pod_outage_rate > 0.0
-            ):
-                if self._topology.pods is None:
-                    raise ConfigurationError(
-                        "pod outages need a fixed pod count "
-                        "(Topology(pods=N))"
-                    )
-                for pod_id in range(self._topology.pods):
-                    outage = schedule.pod_outage(pod_id)
-                    if outage is not None and outage.start < horizon:
-                        queue.push(
-                            PodFail(time=outage.start, pod_id=pod_id)
-                        )
-
-            last_drops: dict[str, float] = {}
-            prev_t = 0.0
-            prev_violations = 0
-            prev_drop_sum = 0.0
-            prev_fail_viol = 0
-            prev_fail_drop = 0.0
-            fail_viol_seconds = 0.0
-            fail_drop_seconds = 0.0
-            arrivals_since = 0
-            departures_since = 0
-            migrations_at_probe = 0
-            probe_index = 0
-            rebalance_index = 0
-            telemetry = TelemetryAccumulator()
-            warm_cache = {}
-            if self._warm_start:
-                telemetry.enable_warm()
-
-        def arm_new_nics() -> None:
-            # Arm the drawn fault of every NIC provisioned since the
-            # last call; onset is relative to the spin-up instant, so
-            # every armed event lies strictly in the future.
-            if schedule is None:
-                return
-            for nic in cluster.take_new_nics():
-                fault = schedule.nic_fault(nic.nic_id)
-                if fault is not None:
-                    when = nic.spun_up_at + fault.after
-                    if when < horizon:
-                        queue.push(
-                            NicFail(
-                                time=when,
-                                nic_id=nic.nic_id,
-                                mode=fault.mode,
-                                capacity=fault.capacity,
-                                repair=fault.repair,
-                            )
-                        )
-
-        while queue and queue.peek().time < horizon:
-            t = queue.peek().time
-            cluster.now = t
-            dirty = False
-            probe_due = False
-
-            while queue and queue.peek().time == t:
-                event = self._pop(queue, report)
-
-                # Fault transitions emit "sim"-channel events mirroring
-                # EpochFaultDriver.apply exactly (same names, fields,
-                # success conditions, and — at one timestamp — the same
-                # order, because the driver applies categories in this
-                # queue's priority order), so the sim stream agrees
-                # across engines under aligned faults.
-                if isinstance(event, NicRestore):
-                    if cluster.restore_nic(event.nic_id):
-                        dirty = True
-                        obs.event(
-                            t, "fault.nic_restore", chan="sim",
-                            nic=event.nic_id,
-                        )
-
-                elif isinstance(event, PodRestore):
-                    # The pod accepts spin-ups again; nothing scored
-                    # changes at this instant, so no observation.
-                    cluster.restore_pod(event.pod_id)
-                    obs.event(
-                        t, "fault.pod_restore", chan="sim",
-                        pod=event.pod_id,
-                    )
-
-                elif isinstance(event, PodFail):
-                    outage = schedule.pod_outage(event.pod_id)
-                    if cluster.fail_pod(event.pod_id):
-                        dirty = True
-                        obs.event(
-                            t, "fault.pod_fail", chan="sim",
-                            pod=event.pod_id,
-                        )
-                        if outage.end < horizon:
-                            queue.push(
-                                PodRestore(
-                                    time=outage.end, pod_id=event.pod_id
-                                )
-                            )
-
-                elif isinstance(event, NicFail):
-                    if event.mode == "fail":
-                        if cluster.fail_nic(event.nic_id):
-                            dirty = True
-                            obs.event(
-                                t, "fault.nic_fail", chan="sim",
-                                nic=event.nic_id,
-                            )
-                    elif cluster.degrade_nic(event.nic_id, event.capacity):
-                        dirty = True
-                        obs.event(
-                            t, "fault.nic_degrade", chan="sim",
-                            nic=event.nic_id, capacity=event.capacity,
-                        )
-                        when = t + event.repair
-                        if when < horizon:
-                            queue.push(
-                                NicRestore(time=when, nic_id=event.nic_id)
-                            )
-
-                elif isinstance(event, Departure):
-                    if event.instance_id in instances:
-                        if cluster.is_evicted(event.instance_id):
-                            # Its lifetime ran out while it waited in
-                            # the re-placement queue: lost, not served.
-                            cluster.drop_evicted(event.instance_id)
-                        else:
-                            cluster.remove(event.instance_id)
-                        del instances[event.instance_id]
-                        departures_since += 1
-                        dirty = True
-
-                elif isinstance(event, TrafficChange):
-                    instance = instances.get(event.instance_id)
-                    if instance is not None:
-                        trace = instance.request.trace
-                        fresh = trace.profile_at(t)
-                        if fresh != instance.traffic:
-                            dirty = True
-                        instance.traffic = fresh
-                        nxt = trace.next_change_after(t)
-                        if nxt is not None and nxt < horizon:
-                            queue.push(
-                                TrafficChange(nxt, event.instance_id)
-                            )
-
-                elif isinstance(event, MigrationComplete):
-                    record = cluster.migration_of(event.instance_id)
-                    if record is not None and record.end_time == t:
-                        cluster.complete_migration(event.instance_id)
-                        dirty = True
-                        obs.event(
-                            t, "migration.complete",
-                            instance=event.instance_id,
-                        )
-
-                elif isinstance(event, RebalanceTimer):
-                    if cluster.evicted and self._policy.replace_evicted(
-                        cluster, int(math.floor(t)), self._model
-                    ):
-                        dirty = True
-                    moved = self._policy.rebalance(
-                        cluster, int(math.floor(t)), self._model, last_drops
-                    )
-                    if self._launch_migrations(cluster, queue, report, horizon):
-                        dirty = True
-                    elif moved:
-                        dirty = True  # instantaneous (duration-0) moves
-                    rebalance_index += 1
-                    nxt = rebalance_index * cfg.rebalance_period
-                    if nxt < horizon:
-                        queue.push(RebalanceTimer(time=nxt))
-
-                elif isinstance(event, Arrival):
-                    # Gather the whole same-time arrival group (they are
-                    # contiguous in the queue) so their solo baselines
-                    # warm in one batch, like an epoch's phase 2b.
-                    group = [event]
-                    while (
-                        queue
-                        and queue.peek().time == t
-                        and isinstance(queue.peek(), Arrival)
-                    ):
-                        group.append(self._pop(queue, report))
-                    requests = [e.request for e in group]
-                    pairs = [
-                        (r.nf_name, r.traffic) for r in cluster.services
-                    ]
-                    pairs.extend(
-                        (rq.nf_name, rq.trace.profile_at(t))
-                        for rq in requests
-                    )
-                    _warm_pairs(
-                        self._model, self._targets, pairs,
-                        self._score_mode, self._runtime,
-                    )
-                    for request in requests:
-                        instance = ServiceInstance(
-                            request=request,
-                            traffic=request.trace.profile_at(t),
-                        )
-                        try:
-                            nic_id = self._policy.choose_nic(
-                                cluster, instance, self._model
-                            )
-                            cluster.place(instance, nic_id)
-                        except PlacementError:
-                            # Nowhere to put it (e.g. every pod is in
-                            # outage): it waits in the queue.
-                            cluster.enqueue_evicted(instance)
-                        instances[request.instance_id] = instance
-                        departs = float(request.departure_epoch)
-                        if departs < horizon:
-                            queue.push(
-                                Departure(departs, request.instance_id)
-                            )
-                        nxt = request.trace.next_change_after(t)
-                        if nxt is not None and nxt < horizon:
-                            queue.push(
-                                TrafficChange(nxt, request.instance_id)
-                            )
-                    arrivals_since += len(requests)
-                    dirty = True
-
-                elif isinstance(event, Probe):
-                    probe_due = True
-                    probe_index += 1
-                    nxt = probe_index * cfg.probe_period
-                    if nxt < horizon:
-                        queue.push(Probe(time=nxt))
-
-            arm_new_nics()
-            if not (probe_due or (dirty and cfg.observe_changes)):
-                continue
-
-            # Observation point: lazy scoring of the current fleet.
-            _warm_pairs(
-                self._model,
-                self._targets,
-                [(r.nf_name, r.traffic) for r in cluster.services],
-                self._score_mode,
-                self._runtime,
-            )
-            drops, throughputs = _score_cluster(
-                cluster, self._model, self._targets, mix_cache,
-                self._score_mode, self._runtime, now=t,
-                seed=self._churn.seed,
-                obs=obs, sim_time=t, telemetry=telemetry,
-                warm_start=self._warm_start, warm_cache=warm_cache,
-            )
-            live = _live_services(cluster)
-            violated = [
-                instance.instance_id
-                for instance in live
-                if drops[instance.instance_id] > instance.sla_drop_fraction
-            ]
-            drop_sum = sum(drops[r.instance_id] for r in live)
-            fail_viol, fail_drop = _failure_attribution(cluster, drops)
-
-            report.violation_service_seconds += (t - prev_t) * prev_violations
-            report.drop_service_seconds += (t - prev_t) * prev_drop_sum
-            fail_viol_seconds += (t - prev_t) * prev_fail_viol
-            fail_drop_seconds += (t - prev_t) * prev_fail_drop
-            prev_t, prev_violations, prev_drop_sum = (
-                t, len(violated), drop_sum,
-            )
-            prev_fail_viol, prev_fail_drop = fail_viol, fail_drop
-
-            report.observations.append(
-                ObservationRecord(
-                    time=t,
-                    kind="probe" if probe_due else "change",
-                    services=len(live),
-                    nics_used=cluster.nics_used,
-                    sla_violations=len(violated),
-                    drop_sum=drop_sum,
-                    aggregate_throughput_mpps=sum(throughputs.values()),
-                )
-            )
-            last_drops = drops
-
-            grid_probe = probe_due and t == math.floor(t)
-            if grid_probe:
-                # On-grid probe: emit the epoch row the time-stepped
-                # engine would have emitted, from counters accumulated
-                # since the previous grid probe.
-                epoch = int(t)
-                services = len(live)
-                total_cores = sum(
-                    nic.spec.num_cores for nic in cluster.nics
-                )
-                used_cores = sum(nic.cores_used() for nic in cluster.nics)
-                min_nics = math.ceil(
-                    services / cluster.max_residents_per_nic
-                )
-                started = cluster.total_migrations_started
-                row = EpochMetrics(
-                    epoch=epoch,
-                    services=services,
-                    nics_used=cluster.nics_used,
-                    arrivals=arrivals_since,
-                    departures=departures_since,
-                    migrations=started - migrations_at_probe,
-                    sla_violations=len(violated),
-                    violation_rate_pct=(
-                        100.0 * len(violated) / services
-                        if services
-                        else 0.0
-                    ),
-                    utilisation_pct=(
-                        100.0 * used_cores / total_cores
-                        if total_cores
-                        else 0.0
-                    ),
-                    wastage_pct=(
-                        100.0 * (cluster.nics_used - min_nics) / min_nics
-                        if min_nics
-                        else 0.0
-                    ),
-                    aggregate_throughput_mpps=sum(throughputs.values()),
-                )
-                report.fleet.metrics.append(row)
-                if obs.enabled:
-                    _emit_epoch_row(obs, t, row)
-                report.fleet.pools.extend(
-                    _pool_rows(
-                        cluster, self._provisioner, self._targets, epoch
-                    )
-                )
-                arrivals_since = 0
-                departures_since = 0
-                migrations_at_probe = started
-
-            if probe_due:
-                # Time-aware policy hooks; any migration they start is
-                # observed at the next event (its completion at latest).
-                if violated:
-                    self._policy.on_violation(
-                        cluster, t, self._model, drops, violated
-                    )
-                self._policy.on_probe(cluster, t, self._model, drops)
-                self._launch_migrations(cluster, queue, report, horizon)
-                arm_new_nics()  # hooks may have spun up NICs
-
-            if checkpoint is not None and grid_probe:
-                checkpoint.maybe_save(
-                    int(t) + 1,
-                    {
-                        "engine": "event",
-                        "cluster": cluster,
-                        "queue": queue,
-                        "instances": instances,
-                        "mix_cache": mix_cache,
-                        "report": report,
-                        "last_drops": last_drops,
-                        "prev_t": prev_t,
-                        "prev_violations": prev_violations,
-                        "prev_drop_sum": prev_drop_sum,
-                        "prev_fail_viol": prev_fail_viol,
-                        "prev_fail_drop": prev_fail_drop,
-                        "fail_viol_seconds": fail_viol_seconds,
-                        "fail_drop_seconds": fail_drop_seconds,
-                        "arrivals_since": arrivals_since,
-                        "departures_since": departures_since,
-                        "migrations_at_probe": migrations_at_probe,
-                        "probe_index": probe_index,
-                        "rebalance_index": rebalance_index,
-                        "telemetry": telemetry,
-                        "warm_cache": warm_cache,
-                    },
-                )
-
-        # Close the integrals out to the horizon.
-        report.violation_service_seconds += (horizon - prev_t) * prev_violations
-        report.drop_service_seconds += (horizon - prev_t) * prev_drop_sum
-        fail_viol_seconds += (horizon - prev_t) * prev_fail_viol
-        fail_drop_seconds += (horizon - prev_t) * prev_fail_drop
-
-        report.fleet.migrations = list(cluster.migration_log)
-        report.fleet.faults = faults_payload(
-            cluster, fail_viol_seconds, fail_drop_seconds
+            ),
         )
-        report.fleet.telemetry = telemetry.payload()
-        report.migrations_started = cluster.total_migrations_started
-        report.migrations_completed = len(cluster.timed_migrations)
-        report.migrations_cancelled = cluster.migrations_cancelled
-        report.timed_migrations = list(cluster.timed_migrations)
-        return report
+        if self._warm_start:
+            state.telemetry.enable_warm()
+
+        # Static schedule: every epoch's timed arrivals, the probe and
+        # rebalance grids (chained through their handlers), and — with
+        # faults — every armed pod outage (NIC faults arm dynamically
+        # as their NICs spin up). Events at or past the horizon stay
+        # queued unpopped, so a snapshot holds every scheduled event.
+        queue = state.queue
+        self._schedule_arrivals(queue, range(epochs))
+        queue.push(Probe(time=0.0))
+        queue.push(RebalanceTimer(time=0.0))
+        faults = self._faults
+        if faults is not None and faults.config.pod_outage_rate > 0.0:
+            if self._topology.pods is None:
+                raise ConfigurationError(
+                    "pod outages need a fixed pod count (Topology(pods=N))"
+                )
+            for pod_id in range(self._topology.pods):
+                outage = faults.pod_outage(pod_id)
+                if outage is not None:
+                    queue.push(PodFail(time=outage.start, pod_id=pod_id))
+        return state
+
+    def _schedule_arrivals(self, queue: EventQueue, epochs: range) -> None:
+        """Queue the timed arrivals of ``epochs``. An epoch's arrivals
+        share no timestamp with another epoch's, so their pop order does
+        not depend on when they were queued."""
+        for epoch in epochs:
+            for when, request in self._churn.arrival_times_for(
+                epoch, quantize=self._config.quantize_arrivals
+            ):
+                queue.push(Arrival(time=when, request=request))
+
+    def _resume(self, state: FleetState, horizon: float) -> FleetState:
+        """Validate a snapshot and retarget it to ``horizon``.
+
+        The run may end earlier or later than the one that wrote the
+        snapshot: only the arrivals of epochs that run never reached
+        are missing from its queue.
+        """
+        if not isinstance(state, FleetState):
+            raise ConfigurationError(
+                "checkpoint does not hold a fleet engine state"
+            )
+        if state.report.config != self._config:
+            raise ConfigurationError(
+                "checkpoint was written under a different EventConfig "
+                f"({state.report.config}); resume it with that config"
+            )
+        if state.prev_t >= horizon:
+            raise ConfigurationError(
+                f"checkpoint was taken at t={state.prev_t:g}; the run "
+                f"ends at {horizon:g}"
+            )
+        report = state.report
+        epochs = int(math.ceil(horizon))
+        self._schedule_arrivals(
+            state.queue, range(report.fleet.epochs, epochs)
+        )
+        report.horizon = horizon
+        report.fleet.epochs = epochs
+        if self._warm_start:
+            # The snapshot may predate the knob (a cold build resumed
+            # into a warm run): the engine's flag, not the snapshot's,
+            # decides whether warm telemetry reports.
+            state.telemetry.enable_warm()
+        return state
 
     # ------------------------------------------------------------------
-    def _pop(self, queue: EventQueue, report: EventReport) -> Event:
+    def _apply(self, state: FleetState, event: Event, t: float) -> bool:
+        """Apply one popped event at ``t``; returns whether the scored
+        fleet state changed."""
+        cluster, queue, obs = state.cluster, state.queue, self._obs
+        # A fault transition emits its "sim"-channel event only when it
+        # takes effect (a NIC can fail only once, and so on).
+        if isinstance(event, NicRestore):
+            if not cluster.restore_nic(event.nic_id):
+                return False
+            obs.event(t, "fault.nic_restore", chan="sim", nic=event.nic_id)
+            return True
+
+        if isinstance(event, PodRestore):
+            # The pod accepts spin-ups again; nothing scored changes at
+            # this instant, so no observation.
+            cluster.restore_pod(event.pod_id)
+            obs.event(t, "fault.pod_restore", chan="sim", pod=event.pod_id)
+            return False
+
+        if isinstance(event, PodFail):
+            if not cluster.fail_pod(event.pod_id):
+                return False
+            obs.event(t, "fault.pod_fail", chan="sim", pod=event.pod_id)
+            outage = self._faults.pod_outage(event.pod_id)
+            queue.push(PodRestore(time=outage.end, pod_id=event.pod_id))
+            return True
+
+        if isinstance(event, NicFail):
+            if event.mode == "fail":
+                if not cluster.fail_nic(event.nic_id):
+                    return False
+                obs.event(t, "fault.nic_fail", chan="sim", nic=event.nic_id)
+                return True
+            if not cluster.degrade_nic(event.nic_id, event.capacity):
+                return False
+            obs.event(
+                t, "fault.nic_degrade", chan="sim",
+                nic=event.nic_id, capacity=event.capacity,
+            )
+            queue.push(NicRestore(time=t + event.repair, nic_id=event.nic_id))
+            return True
+
+        if isinstance(event, Departure):
+            if event.instance_id not in state.instances:
+                return False
+            if cluster.is_evicted(event.instance_id):
+                # Its lifetime ran out while it waited in the
+                # re-placement queue: lost, not served.
+                cluster.drop_evicted(event.instance_id)
+            else:
+                cluster.remove(event.instance_id)
+            del state.instances[event.instance_id]
+            state.departures_since += 1
+            return True
+
+        if isinstance(event, TrafficChange):
+            instance = state.instances.get(event.instance_id)
+            if instance is None:
+                return False
+            trace = instance.request.trace
+            fresh = trace.profile_at(t)
+            changed = fresh != instance.traffic
+            instance.traffic = fresh
+            nxt = trace.next_change_after(t)
+            if nxt is not None:
+                queue.push(TrafficChange(nxt, event.instance_id))
+            return changed
+
+        if isinstance(event, MigrationComplete):
+            record = cluster.migration_of(event.instance_id)
+            if record is None or record.end_time != t:
+                return False
+            cluster.complete_migration(event.instance_id)
+            obs.event(t, "migration.complete", instance=event.instance_id)
+            return True
+
+        if isinstance(event, RebalanceTimer):
+            epoch = int(math.floor(t))
+            with obs.span(t, "phase.rebalance") as span:
+                replaced = bool(cluster.evicted) and bool(
+                    self._policy.replace_evicted(cluster, epoch, self._model)
+                )
+                moved = self._policy.rebalance(
+                    cluster, epoch, self._model, state.last_drops
+                )
+                started = self._launch_migrations(state)
+                span.add(migrations=moved)
+            state.rebalance_index += 1
+            queue.push(
+                RebalanceTimer(
+                    time=state.rebalance_index * self._config.rebalance_period
+                )
+            )
+            # ``moved`` alone covers instantaneous (duration-0) moves.
+            return replaced or started or bool(moved)
+
+        if isinstance(event, Arrival):
+            self._place_arrivals(state, event, t)
+            return True
+        return False
+
+    def _place_arrivals(
+        self, state: FleetState, first: Arrival, t: float
+    ) -> None:
+        """Place the whole same-time arrival group (contiguous in the
+        queue), warming all their solo baselines in one batch first."""
+        cluster, queue, obs = state.cluster, state.queue, self._obs
+        group = [first]
+        while (
+            queue
+            and queue.peek().time == t
+            and isinstance(queue.peek(), Arrival)
+        ):
+            group.append(self._pop(state))
+        requests = [e.request for e in group]
+        pairs = [(r.nf_name, r.traffic) for r in cluster.services]
+        pairs.extend((rq.nf_name, rq.trace.profile_at(t)) for rq in requests)
+        with obs.span(t, "phase.warm", pairs=len(pairs)):
+            _warm_pairs(
+                self._model, self._targets, pairs, self._score_mode,
+                self._runtime,
+            )
+        with obs.span(t, "phase.arrivals", arrivals=len(requests)):
+            for request in requests:
+                instance = ServiceInstance(
+                    request=request, traffic=request.trace.profile_at(t)
+                )
+                try:
+                    nic_id = self._policy.choose_nic(
+                        cluster, instance, self._model
+                    )
+                    cluster.place(instance, nic_id)
+                except PlacementError:
+                    # Nowhere to put it (e.g. every pod is in outage):
+                    # it waits in the re-placement queue.
+                    cluster.enqueue_evicted(instance)
+                state.instances[request.instance_id] = instance
+                queue.push(
+                    Departure(
+                        float(request.departure_epoch), request.instance_id
+                    )
+                )
+                nxt = request.trace.next_change_after(t)
+                if nxt is not None:
+                    queue.push(TrafficChange(nxt, request.instance_id))
+        state.arrivals_since += len(requests)
+
+    def _observe(
+        self,
+        state: FleetState,
+        t: float,
+        probe_due: bool,
+        checkpoint: Optional[Checkpointer],
+    ) -> None:
+        """Score the fleet at ``t``, advance the integrals, and — on an
+        epoch-grid probe — append the epoch row and maybe snapshot."""
+        cluster, report, obs = state.cluster, state.report, self._obs
+        pairs = [(r.nf_name, r.traffic) for r in cluster.services]
+        with obs.span(t, "phase.warm", pairs=len(pairs)):
+            _warm_pairs(
+                self._model, self._targets, pairs, self._score_mode,
+                self._runtime,
+            )
+        with obs.span(t, "phase.score"):
+            drops, throughputs = _score_cluster(
+                cluster, self._model, self._targets, state.mix_cache,
+                self._score_mode, self._runtime, t, seed=self._churn.seed,
+                obs=obs, telemetry=state.telemetry,
+                warm_start=self._warm_start, warm_cache=state.warm_cache,
+            )
+        live = _live_services(cluster)
+        violated = [
+            instance.instance_id
+            for instance in live
+            if drops[instance.instance_id] > instance.sla_drop_fraction
+        ]
+        drop_sum = sum(drops[r.instance_id] for r in live)
+        state.integrate(t)
+        state.prev_violations, state.prev_drop_sum = len(violated), drop_sum
+        state.prev_fail_viol, state.prev_fail_drop = _failure_attribution(
+            cluster, drops
+        )
+        total_throughput = sum(throughputs.values())
+        report.observations.append(
+            ObservationRecord(
+                time=t,
+                kind="probe" if probe_due else "change",
+                services=len(live),
+                nics_used=cluster.nics_used,
+                sla_violations=len(violated),
+                drop_sum=drop_sum,
+                aggregate_throughput_mpps=total_throughput,
+            )
+        )
+        state.last_drops = drops
+
+        grid_probe = probe_due and t == math.floor(t)
+        if grid_probe:
+            # The epoch row, from counters accumulated since the
+            # previous grid probe.
+            epoch = int(t)
+            services = len(live)
+            total_cores = sum(nic.spec.num_cores for nic in cluster.nics)
+            used_cores = sum(nic.cores_used() for nic in cluster.nics)
+            min_nics = math.ceil(services / cluster.max_residents_per_nic)
+            started = cluster.total_migrations_started
+            row = EpochMetrics(
+                epoch=epoch,
+                services=services,
+                nics_used=cluster.nics_used,
+                arrivals=state.arrivals_since,
+                departures=state.departures_since,
+                migrations=started - state.migrations_at_probe,
+                sla_violations=len(violated),
+                violation_rate_pct=(
+                    100.0 * len(violated) / services if services else 0.0
+                ),
+                utilisation_pct=(
+                    100.0 * used_cores / total_cores if total_cores else 0.0
+                ),
+                wastage_pct=(
+                    100.0 * (cluster.nics_used - min_nics) / min_nics
+                    if min_nics
+                    else 0.0
+                ),
+                aggregate_throughput_mpps=total_throughput,
+            )
+            report.fleet.metrics.append(row)
+            obs.event(
+                t, "epoch.metrics", chan="sim",
+                epoch=row.epoch,
+                services=row.services,
+                nics_used=row.nics_used,
+                arrivals=row.arrivals,
+                departures=row.departures,
+                migrations=row.migrations,
+                sla_violations=row.sla_violations,
+            )
+            report.fleet.pools.extend(
+                _pool_rows(cluster, self._provisioner, self._targets, epoch)
+            )
+            state.arrivals_since = 0
+            state.departures_since = 0
+            state.migrations_at_probe = started
+
+        if probe_due:
+            # Time-aware policy hooks; any migration they start is
+            # observed at the next event (its completion at latest).
+            if violated:
+                self._policy.on_violation(
+                    cluster, t, self._model, drops, violated
+                )
+            self._policy.on_probe(cluster, t, self._model, drops)
+            self._launch_migrations(state)
+            self._arm_new_nics(state)  # hooks may have spun up NICs
+
+        if checkpoint is not None and grid_probe:
+            checkpoint.maybe_save(int(t) + 1, state)
+
+    def _arm_new_nics(self, state: FleetState) -> None:
+        """Queue the drawn fault of every NIC provisioned since the last
+        call; onset is relative to the spin-up instant, so every armed
+        event lies strictly in the future."""
+        if self._faults is None:
+            return
+        for nic in state.cluster.take_new_nics():
+            fault = self._faults.nic_fault(nic.nic_id)
+            if fault is not None:
+                state.queue.push(
+                    NicFail(
+                        time=nic.spun_up_at + fault.after,
+                        nic_id=nic.nic_id,
+                        mode=fault.mode,
+                        capacity=fault.capacity,
+                        repair=fault.repair,
+                    )
+                )
+
+    def _pop(self, state: FleetState) -> Event:
         """Pop the next event, recording it in the log and the counts."""
-        event = queue.pop()
+        event = state.queue.pop()
+        report = state.report
         report.events_processed += 1
         name = type(event).__name__
         report.event_counts[name] = report.event_counts.get(name, 0) + 1
@@ -1799,13 +1456,7 @@ class EventEngine:
             )
         return event
 
-    def _launch_migrations(
-        self,
-        cluster: Cluster,
-        queue: EventQueue,
-        report: EventReport,
-        horizon: float,
-    ) -> bool:
+    def _launch_migrations(self, state: FleetState) -> bool:
         """Schedule completions for migrations a policy just started.
 
         Timed migrations begin synchronously inside the policy (it
@@ -1814,8 +1465,8 @@ class EventEngine:
         per move and queues the matching :class:`MigrationComplete`.
         Returns whether anything was started.
         """
-        obs = self._obs
-        pending = cluster.take_pending_migrations()
+        report, obs = state.report, self._obs
+        pending = state.cluster.take_pending_migrations()
         for record in pending:
             marker = MigrationStart(
                 time=record.start_time,
@@ -1837,11 +1488,40 @@ class EventEngine:
                     to_nic=record.to_nic,
                     duration=record.duration,
                 )
-            if record.end_time < horizon:
-                queue.push(
-                    MigrationComplete(record.end_time, record.instance_id)
-                )
+            state.queue.push(
+                MigrationComplete(record.end_time, record.instance_id)
+            )
         return bool(pending)
+
+
+class FleetEngine(EventEngine):
+    """The event loop fixed to :meth:`EventConfig.epoch_equivalent`.
+
+    Takes :class:`EventEngine`'s arguments except ``config``;
+    ``run(epochs)`` returns the epoch-grid :class:`FleetReport`.
+    """
+
+    def __init__(
+        self,
+        policy: FleetPolicy | str,
+        churn: ChurnProcess,
+        model: PlacementModel,
+        **options,
+    ) -> None:
+        super().__init__(
+            policy, churn, model, config=EventConfig.epoch_equivalent(),
+            **options,
+        )
+
+    def run(
+        self,
+        epochs: int,
+        checkpoint: Optional[Checkpointer] = None,
+        resume: Optional[FleetState] = None,
+    ) -> FleetReport:
+        """Simulate ``epochs`` epochs; returns the scored trajectory
+        (checkpoint/resume as in :meth:`EventEngine.run`)."""
+        return self._simulate(float(epochs), checkpoint, resume).fleet
 
 
 __all__ = [
@@ -1851,6 +1531,7 @@ __all__ = [
     "FLEET_REPORT_SCHEMA_VERSION",
     "FleetEngine",
     "FleetReport",
+    "FleetState",
     "ObservationRecord",
     "PoolMetrics",
 ]

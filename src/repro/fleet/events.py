@@ -1,15 +1,14 @@
-"""Typed events and the deterministic queue of the continuous-time fleet.
+"""Typed events and the deterministic queue of the fleet engine.
 
-The event engine (:class:`repro.fleet.engine.EventEngine`) advances the
-fleet in *continuous* time by popping events off an :class:`EventQueue`.
-Determinism is structural: events are totally ordered by
-``(time, priority, seq)`` —
+The fleet engine (:class:`repro.fleet.engine.EventEngine`) advances the
+fleet by popping events off an :class:`EventQueue`. Determinism is
+structural: events are totally ordered by ``(time, priority, seq)`` —
 
-- ``time`` is the simulation clock in seconds (one epoch of the
-  time-stepped engine spans one second);
-- ``priority`` is fixed per event *type* and mirrors the phase order of
-  the epoch engine, so events sharing a timestamp replay the epoch
-  phases exactly (departures before traffic changes before rebalancing
+- ``time`` is the simulation clock in seconds (one epoch spans one
+  second);
+- ``priority`` is fixed per event *type* and is the order of an
+  epoch's phases, so events sharing a timestamp run phase by phase
+  (faults before departures before traffic changes before rebalancing
   before arrivals before scoring);
 - ``seq`` is the queue's monotone insertion counter, which makes ties
   within one ``(time, priority)`` bucket FIFO in scheduling order.
@@ -39,8 +38,8 @@ from repro.fleet.churn import ServiceRequest
 class Event:
     """Base event: a point on the simulation clock."""
 
-    #: Tie-break rank among events sharing a timestamp; mirrors the
-    #: epoch engine's phase order (see the class docstrings below).
+    #: Tie-break rank among events sharing a timestamp: the order of an
+    #: epoch's phases (see the class docstrings below).
     priority: ClassVar[int] = 99
 
     time: float
@@ -60,8 +59,7 @@ class NicRestore(Event):
 
     Fault transitions order *before* every workload event at a shared
     timestamp — restores first, so capacity freed by a repair is
-    visible to everything else happening at that instant — mirroring
-    the epoch engine's phase-0 fault application.
+    visible to everything else happening at that instant.
     """
 
     priority: ClassVar[int] = -4
@@ -267,14 +265,14 @@ class EventConfig:
     The defaults enable the continuous behaviours (sub-epoch arrival
     times, observation of off-grid change points); the
     :meth:`epoch_equivalent` preset quantizes everything back onto the
-    epoch grid, under which the event engine must reproduce the epoch
-    engine's reports byte-identically.
+    epoch grid and is what :class:`~repro.fleet.engine.FleetEngine`
+    runs.
     """
 
     #: Snap Poisson arrival times to their epoch boundary.
     quantize_arrivals: bool = False
     #: Seconds a migration keeps the service resident on *both* NICs
-    #: (0 = instantaneous, the epoch engine's free-migration model).
+    #: (0 = instantaneous, the epoch preset's free-migration model).
     migration_duration: float = 0.0
     #: Seconds a migration that crosses a *pod* boundary takes instead
     #: of ``migration_duration`` (state transfer over the fabric costs
@@ -309,14 +307,18 @@ class EventConfig:
 
     @classmethod
     def epoch_equivalent(cls) -> "EventConfig":
-        """The quantized preset under which the event engine must equal
-        the epoch engine byte for byte."""
+        """The epoch-grid preset :class:`~repro.fleet.engine.FleetEngine`
+        runs: arrivals on epoch boundaries, free migrations, no spin-up,
+        unit probe and rebalance periods, and scoring only at probes (a
+        trace change point between two boundaries is not an
+        observation)."""
         return cls(
             quantize_arrivals=True,
             migration_duration=0.0,
             spinup_latency=0.0,
             probe_period=1.0,
             rebalance_period=1.0,
+            observe_changes=False,
         )
 
 

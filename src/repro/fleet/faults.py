@@ -5,10 +5,10 @@ domain. This module brings that into the simulated world behind the
 same determinism contract as everything else in the fleet: a validated
 :class:`FaultConfig` plus a :class:`FaultSchedule` whose draws are
 **pure functions of ``(seed, nic ordinal / pod id)``** — never of the
-execution (engine, runtime, worker count, wall clock). Two runs with
-the same seed inject the identical fault trajectory, and the epoch and
-event engines replay it byte-identically under the epoch-equivalence
-contract.
+execution (engine configuration, runtime, worker count, wall clock).
+Two runs with the same seed inject the identical fault trajectory. The
+engine (:mod:`repro.fleet.engine`) carries it as typed ``nic-fail`` /
+``nic-restore`` / ``pod-fail`` / ``pod-restore`` events on its queue.
 
 Three fault kinds:
 
@@ -38,23 +38,18 @@ Three fault kinds:
   fixed pod count (``Topology(pods=N)``) so the schedule can arm every
   domain up front.
 
-**Epoch alignment.** With ``align_to_epochs=True`` (the default, and
-what :class:`~repro.fleet.config.FleetConfig` always uses) every drawn
-delay is floored to a whole number of epochs ``>= 1``, so under
-quantized arrivals all fault transitions land exactly on epoch
-boundaries and the epoch engine can replay them as phase-0 transitions
-with byte-parity to the event engine's typed ``nic-fail`` /
-``nic-restore`` events. Unaligned schedules are for the event engine
-only: transitions land mid-epoch, where only the continuous clock can
-see them.
+**Epoch alignment.** Every drawn delay is floored to a whole number of
+epochs ``>= 1``, so under quantized arrivals all fault transitions land
+exactly on epoch boundaries, ahead of every workload event at that
+instant.
 
 A fault is drawn **once per NIC ordinal** (the id of the spun-up NIC,
 which doubles as its provisioning ordinal) and **once per pod id** —
 the same key discipline as :meth:`NicProvisioner.spec_for
 <repro.fleet.cluster.NicProvisioner.spec_for>`. Failures therefore
 never re-target an already-failed NIC, and restore times are strictly
-after their failures (delays are ``>= 1`` aligned, ``> 0`` unaligned)
-— properties the hypothesis suite pins.
+after their failures (delays are ``>= 1``) — properties the hypothesis
+suite pins.
 """
 
 from __future__ import annotations
@@ -63,16 +58,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs import NULL_RECORDER, Recorder
 from repro.rng import derive_seed, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.cluster import Cluster
-
-#: Smallest unaligned delay: keeps every transition strictly after the
-#: instant that caused it without visibly shifting the trajectory.
-_MIN_DELAY = 1e-9
-
 
 @dataclass(frozen=True)
 class FaultConfig:
@@ -95,9 +84,6 @@ class FaultConfig:
     mean_pod_outage_start: float = 5.0
     #: Mean duration of a pod outage (exponential, epochs).
     mean_pod_outage_duration: float = 2.0
-    #: Floor every delay to whole epochs (>= 1) so transitions land on
-    #: epoch boundaries — required by the epoch engine.
-    align_to_epochs: bool = True
 
     def __post_init__(self) -> None:
         for name in ("nic_fail_rate", "nic_degrade_rate", "pod_outage_rate"):
@@ -191,12 +177,11 @@ class FaultSchedule:
         return self._seed
 
     # ------------------------------------------------------------------
-    def _quantize(self, delay: float) -> float:
-        """Aligned: floor to whole epochs, minimum 1 (restores stay
-        strictly after failures). Unaligned: strictly positive."""
-        if self._config.align_to_epochs:
-            return float(1 + int(delay))
-        return max(delay, _MIN_DELAY)
+    @staticmethod
+    def _quantize(delay: float) -> float:
+        """Floor to whole epochs, minimum 1: transitions land on epoch
+        boundaries and restores stay strictly after their failures."""
+        return float(1 + int(delay))
 
     def nic_fault(self, ordinal: int) -> Optional[NicFault]:
         """The fault of the ``ordinal``-th provisioned NIC, if any."""
@@ -246,136 +231,6 @@ class FaultSchedule:
             outage = PodOutage(pod_id=pod_id, start=start, duration=duration)
         self._pod_memo[pod_id] = outage
         return outage
-
-
-# ----------------------------------------------------------------------
-# Epoch-boundary driver (the epoch engine's phase 0)
-# ----------------------------------------------------------------------
-class EpochFaultDriver:
-    """Replays an epoch-aligned schedule as phase-0 cluster transitions.
-
-    The event engine carries the same schedule through typed
-    ``nic-fail`` / ``nic-restore`` / ``pod-fail`` / ``pod-restore``
-    events; this driver applies the identical transitions at the start
-    of each epoch in the identical order the event queue would pop them
-    — restores before pod outages before NIC faults, each category in
-    ``(time, arming order)`` — which is what keeps the two engines'
-    schema-v3 fault sections byte-identical under
-    ``epoch_equivalent()``.
-
-    Mutable (it tracks what has already been applied), but a pure
-    function of the schedule and the cluster trajectory — and
-    picklable, so engine checkpoints capture it.
-    """
-
-    def __init__(self, schedule: FaultSchedule) -> None:
-        if not schedule.config.align_to_epochs:
-            raise ConfigurationError(
-                "the epoch engine needs an epoch-aligned fault schedule "
-                "(FaultConfig(align_to_epochs=True)); unaligned faults "
-                "are event-engine only"
-            )
-        self._schedule = schedule
-        self._seq = 0
-        #: Armed NIC faults: (fault time, arm seq, nic_id, fault).
-        self._nic_faults: list[tuple[float, int, int, NicFault]] = []
-        #: Scheduled degrade repairs: (restore time, arm seq, nic_id).
-        self._nic_restores: list[tuple[float, int, int]] = []
-        #: Armed pod outage starts: (start, arm seq, outage).
-        self._pod_starts: list[tuple[float, int, PodOutage]] = []
-        #: Scheduled outage ends: (end, arm seq, pod_id).
-        self._pod_restores: list[tuple[float, int, int]] = []
-
-    @property
-    def schedule(self) -> FaultSchedule:
-        return self._schedule
-
-    def arm_pods(self, pod_count: Optional[int]) -> None:
-        """Draw every pod's outage up front (fixed pod counts only)."""
-        if self._schedule.config.pod_outage_rate <= 0.0:
-            return
-        if pod_count is None:
-            raise ConfigurationError(
-                "pod outages need a fixed pod count (Topology(pods=N))"
-            )
-        for pod_id in range(pod_count):
-            outage = self._schedule.pod_outage(pod_id)
-            if outage is not None:
-                self._pod_starts.append((outage.start, self._seq, outage))
-                self._seq += 1
-
-    def _arm_new_nics(self, cluster: "Cluster") -> None:
-        for nic in cluster.take_new_nics():
-            fault = self._schedule.nic_fault(nic.nic_id)
-            if fault is not None:
-                self._nic_faults.append(
-                    (nic.spun_up_at + fault.after, self._seq, nic.nic_id,
-                     fault)
-                )
-                self._seq += 1
-
-    @staticmethod
-    def _take_due(entries: list, now: float) -> list:
-        """Split due entries off ``entries`` (in place), sorted by
-        (time, arming seq) — the event queue's pop order."""
-        due = sorted(e for e in entries if e[0] <= now)
-        entries[:] = [e for e in entries if e[0] > now]
-        return due
-
-    def apply(
-        self, cluster: "Cluster", now: float, obs: Recorder = NULL_RECORDER
-    ) -> None:
-        """Apply every transition due at ``now`` (epoch phase 0).
-
-        Each applied transition emits a ``sim``-channel telemetry event
-        mirroring the event engine's fault handlers exactly — same
-        names, fields, success conditions and within-timestamp order
-        (the category order here *is* the queue's priority order) — so
-        the sim stream agrees across engines under aligned faults.
-        """
-        self._arm_new_nics(cluster)
-        for restore_time, _, nic_id in self._take_due(
-            self._nic_restores, now
-        ):
-            if cluster.restore_nic(nic_id):
-                obs.event(
-                    restore_time, "fault.nic_restore", chan="sim", nic=nic_id
-                )
-        for restore_time, _, pod_id in self._take_due(
-            self._pod_restores, now
-        ):
-            cluster.restore_pod(pod_id)
-            obs.event(
-                restore_time, "fault.pod_restore", chan="sim", pod=pod_id
-            )
-        for start_time, _, outage in self._take_due(self._pod_starts, now):
-            if cluster.fail_pod(outage.pod_id):
-                obs.event(
-                    start_time, "fault.pod_fail", chan="sim",
-                    pod=outage.pod_id,
-                )
-                self._pod_restores.append(
-                    (outage.end, self._seq, outage.pod_id)
-                )
-                self._seq += 1
-        for fault_time, _, nic_id, fault in self._take_due(
-            self._nic_faults, now
-        ):
-            if fault.mode == "fail":
-                if cluster.fail_nic(nic_id):
-                    obs.event(
-                        fault_time, "fault.nic_fail", chan="sim", nic=nic_id
-                    )
-            else:
-                if cluster.degrade_nic(nic_id, fault.capacity):
-                    obs.event(
-                        fault_time, "fault.nic_degrade", chan="sim",
-                        nic=nic_id, capacity=fault.capacity,
-                    )
-                    self._nic_restores.append(
-                        (fault_time + fault.repair, self._seq, nic_id)
-                    )
-                    self._seq += 1
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +299,6 @@ def faults_payload(
 
 
 __all__ = [
-    "EpochFaultDriver",
     "FaultConfig",
     "FaultSchedule",
     "NicFault",

@@ -1,7 +1,7 @@
 """Execution runtimes: where the fleet's scoring work actually runs.
 
-Both fleet engines (:class:`~repro.fleet.engine.FleetEngine` and
-:class:`~repro.fleet.engine.EventEngine`) funnel their per-epoch /
+The fleet engine (:class:`~repro.fleet.engine.EventEngine`, and
+:class:`~repro.fleet.engine.FleetEngine`, its epoch preset) funnels its
 per-observation ground-truth solving through one :class:`Runtime`
 interface — the SimBricks local/parallel/distributed-runtime shape: the
 engine describes *what* must be solved (per-pod mix scenarios, solo
@@ -34,9 +34,8 @@ in a fixed iteration order. Net contract, enforced by tier-1: **same
 seed ⇒ byte-identical reports at any runtime and any worker count.**
 
 Naming: worker-process counts are called ``jobs`` everywhere in this
-repo (the experiment runner's ``--jobs``, ``YalaSystem.train(jobs=)``);
-:class:`ProcessRuntime` follows suit and accepts ``workers=`` only as a
-deprecated alias.
+repo (the experiment runner's ``--jobs``, ``YalaSystem.train(jobs=)``,
+:class:`ProcessRuntime`).
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-import warnings
 from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
@@ -340,21 +338,11 @@ class ProcessRuntime(Runtime):
     def __init__(
         self,
         jobs: Optional[int] = None,
-        workers: Optional[int] = None,
         min_parallel_items: int = 24,
         task_timeout: Optional[float] = 300.0,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
     ) -> None:
-        if workers is not None:
-            warnings.warn(
-                "ProcessRuntime(workers=...) is deprecated; use jobs= "
-                "(the repo-wide name for worker-process counts)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if jobs is None:
-                jobs = workers
         if jobs is None:
             jobs = max(1, os.cpu_count() or 1)
         if jobs < 1:

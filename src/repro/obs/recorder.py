@@ -20,10 +20,10 @@ channel:
   :meth:`EventConfig.epoch_equivalent` (scoring passes, per-epoch
   metric rows, fault transitions).  Cross-*engine* parity compares
   this channel only.
-- ``"engine"`` — events specific to one engine's mechanics (epoch
-  phase spans, event-queue pops, migration markers).  Still
-  deterministic across runtimes and worker counts, but an epoch run
-  and an event run legitimately differ here.
+- ``"engine"`` — events specific to the engine's mechanics (phase
+  spans, event-queue pops, migration markers).  Still deterministic
+  across runtimes and worker counts, but an epoch-grid run and a
+  continuous-time run legitimately differ here.
 
 **Non-deterministic stores** hold everything wall-clock- or
 execution-dependent: ``timings`` (wall-clock spans, the source of the

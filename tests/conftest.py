@@ -6,6 +6,9 @@ run; tests that need isolation build their own objects.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,19 @@ def small_system(noisy_nic: SmartNic) -> YalaSystem:
     system = YalaSystem(noisy_nic, seed=909, quota=200)
     system.train(["flowmonitor", "flowstats", "nids"])
     return system
+
+
+@pytest.fixture(scope="session")
+def flash_crowd():
+    """``examples/flash_crowd_midpoint.py`` as a module: four services
+    whose traffic surges between two epoch boundaries."""
+    path = Path(__file__).resolve().parents[1] / "examples" / (
+        "flash_crowd_midpoint.py"
+    )
+    spec = importlib.util.spec_from_file_location("flash_crowd_midpoint", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture()

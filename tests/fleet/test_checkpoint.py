@@ -9,6 +9,8 @@ snapshot refuses to resume into a different configuration.
 
 import os
 import pickle
+import sys
+import types
 
 import pytest
 
@@ -110,6 +112,30 @@ class TestCheckpointer:
         }))
         with pytest.raises(ConfigurationError, match="version"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("removed", ["class", "module"])
+    def test_load_from_other_code_revision(self, tmp_path, monkeypatch,
+                                           removed):
+        # A snapshot naming a class (or module) that a later revision
+        # removed is refused with a clear error, not a pickle traceback.
+        module = types.ModuleType("snapshot_revision_probe")
+
+        class Gone:
+            pass
+
+        Gone.__module__ = module.__name__
+        Gone.__qualname__ = "Gone"
+        module.Gone = Gone
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        path = str(tmp_path / "old.pkl")
+        Checkpointer(path, 1, {}).save(1, Gone())
+        if removed == "class":
+            del module.Gone
+        else:
+            monkeypatch.delitem(sys.modules, module.__name__)
+        with pytest.raises(ConfigurationError,
+                           match="different code revision"):
+            load_checkpoint(path)
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
         path = tmp_path / "s.pkl"

@@ -137,7 +137,6 @@ class TestFromCliArgs:
             quota=50,
             runtime="serial",
             jobs=1,
-            workers=None,
             quantize_arrivals=False,
             migration_duration=0.0,
             cross_pod_migration_duration=None,
@@ -163,11 +162,6 @@ class TestFromCliArgs:
     def test_splits_nf_pool(self):
         config = FleetConfig.from_cli_args(self._args({}))
         assert config.nf_pool == ("flowstats", "nat")
-
-    def test_workers_alias_warns_and_wins(self):
-        with pytest.warns(DeprecationWarning, match="--jobs"):
-            config = FleetConfig.from_cli_args(self._args({"workers": 3}))
-        assert config.jobs == 3
 
     def test_negative_seed_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

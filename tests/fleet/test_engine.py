@@ -11,8 +11,11 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.fleet.checkpoint import Checkpointer, load_checkpoint
 from repro.fleet.churn import ChurnProcess
-from repro.fleet.engine import FleetEngine
+from repro.fleet.engine import EventEngine, FleetEngine
+from repro.fleet.events import EventConfig
+from repro.fleet.faults import FaultConfig, FaultSchedule
 from repro.fleet.policies import PlacementModel
 from repro.profiling.collector import ProfilingCollector
 
@@ -114,6 +117,62 @@ class TestPolicySanity:
         for record in report.migrations:
             assert record.reason == "sla-violation"
             assert 0 <= record.epoch < EPOCHS
+
+
+class TestResumeToAnotherHorizon:
+    """A snapshot resumes into a shorter or longer run, byte-identical
+    to the uninterrupted run of that length."""
+
+    @staticmethod
+    def _engines(plain_model):
+        faults = FaultSchedule(
+            FaultConfig(nic_fail_rate=0.3, nic_degrade_rate=0.3,
+                        mean_time_to_fail=2.0),
+            seed=5,
+        )
+        return [
+            lambda: FleetEngine("greedy", _churn(PLAIN_POOL), plain_model),
+            lambda: EventEngine(
+                "greedy", _churn(PLAIN_POOL), plain_model,
+                config=EventConfig(migration_duration=0.5),
+                faults=faults,
+            ),
+        ]
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_resumed_run_matches_uninterrupted(self, plain_model, tmp_path,
+                                               arm):
+        build = self._engines(plain_model)[arm]
+        path = str(tmp_path / "snap.pkl")
+        # every=2 over 5 epochs leaves the step-4 snapshot (t = 3).
+        build().run(EPOCHS, checkpoint=Checkpointer(path, 2, {}))
+        for horizon in (EPOCHS - 1, EPOCHS + 3):
+            _, state = load_checkpoint(path)
+            resumed = build().run(horizon, resume=state)
+            assert resumed.to_json() == build().run(horizon).to_json()
+
+    def test_snapshot_at_or_past_the_horizon_refused(self, plain_model,
+                                                     tmp_path):
+        path = str(tmp_path / "snap.pkl")
+        FleetEngine("greedy", _churn(PLAIN_POOL), plain_model).run(
+            3, checkpoint=Checkpointer(path, 3, {})
+        )
+        _, state = load_checkpoint(path)
+        with pytest.raises(ConfigurationError, match="t=2"):
+            FleetEngine("greedy", _churn(PLAIN_POOL), plain_model).run(
+                2, resume=state
+            )
+
+    def test_other_event_config_refused(self, plain_model, tmp_path):
+        path = str(tmp_path / "snap.pkl")
+        FleetEngine("greedy", _churn(PLAIN_POOL), plain_model).run(
+            2, checkpoint=Checkpointer(path, 1, {})
+        )
+        _, state = load_checkpoint(path)
+        with pytest.raises(ConfigurationError, match="EventConfig"):
+            EventEngine("greedy", _churn(PLAIN_POOL), plain_model).run(
+                3, resume=state
+            )
 
 
 class TestReportAndRegistry:

@@ -156,6 +156,23 @@ class TestEpochEquivalence:
         ).run(EPOCHS)
         _assert_byte_equal(event, epoch)
 
+    @pytest.mark.parametrize("policy", ["greedy", "monopolization"])
+    def test_mid_epoch_trace_change(self, flash_crowd, policy):
+        """A trace change point between two epoch boundaries is not an
+        observation point of the epoch grid."""
+        nic = SmartNic(get_spec("bluefield2"), seed=7)
+        model = PlacementModel(collector=ProfilingCollector(nic), nic=nic)
+        epoch = FleetEngine(
+            policy, flash_crowd.ScriptedChurn(flash_crowd.cast()), model
+        ).run(flash_crowd.HORIZON)
+        event = EventEngine(
+            policy,
+            flash_crowd.ScriptedChurn(flash_crowd.cast()),
+            model,
+            config=EventConfig.epoch_equivalent(),
+        ).run(flash_crowd.HORIZON)
+        _assert_byte_equal(event, epoch)
+
     def test_quantized_integral_matches_epoch_counts(self, plain_model):
         """On the grid the left-Riemann integral degenerates to the
         epoch sum: violation-seconds = sum of per-epoch violations x 1s."""

@@ -138,6 +138,9 @@ class TestEventConfig:
         assert cfg.spinup_latency == 0.0
         assert cfg.probe_period == 1.0
         assert cfg.rebalance_period == 1.0
+        # Scoring only at probes: a mid-epoch trace change point must not
+        # add an observation the epoch grid never makes.
+        assert cfg.observe_changes is False
 
     @pytest.mark.parametrize(
         "kwargs",

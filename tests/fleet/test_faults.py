@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.fleet import (
-    EpochFaultDriver,
     FaultConfig,
     FaultSchedule,
     FleetConfig,
@@ -65,13 +64,6 @@ class TestFaultConfigValidation:
         assert not FaultConfig().any_faults
         assert FaultConfig(nic_fail_rate=0.1).any_faults
         assert FaultConfig(pod_outage_rate=0.1).any_faults
-
-    def test_epoch_driver_rejects_unaligned(self):
-        schedule = FaultSchedule(
-            FaultConfig(nic_fail_rate=0.5, align_to_epochs=False), seed=1
-        )
-        with pytest.raises(ConfigurationError, match="align"):
-            EpochFaultDriver(schedule)
 
 
 class TestScheduleProperties:

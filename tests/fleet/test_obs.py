@@ -17,7 +17,6 @@ import pytest
 
 from repro.fleet import __main__ as fleet_cli
 from repro.fleet import (
-    Checkpointer,
     FleetConfig,
     build_model_for,
     simulate,
@@ -299,6 +298,23 @@ class TestChromeTrace:
         # The whole payload is valid trace-event JSON.
         json.loads(json.dumps(payload))
 
+    def test_one_score_span_per_scoring_pass(self, model):
+        rec = TraceRecorder()
+        simulate(FleetConfig(**FAULTY), model=model, recorder=rec)
+        passes = [
+            record["t"]
+            for record in rec.deterministic_records("sim")
+            if record["name"] == "score"
+        ]
+        # The engine track is the one without a pod (``track=None``).
+        spans = [
+            timing["args"]["sim_time"]
+            for timing in rec.timings
+            if timing["name"] == "phase.score" and timing["track"] is None
+        ]
+        assert len(passes) == FAULTY["epochs"]
+        assert spans == passes
+
 
 # ----------------------------------------------------------------------
 # CLI surface
@@ -348,15 +364,6 @@ class TestCliTelemetry:
 
 
 class TestWorkersDeprecation:
-    def test_workers_flag_parses_warns_and_maps_to_jobs(self):
-        parser = fleet_cli.build_parser()
-        args = parser.parse_args(["--workers", "3"])
-        assert args.workers == 3
-        assert args.jobs == 1  # untouched default
-        with pytest.warns(DeprecationWarning, match="--jobs"):
-            config = FleetConfig.from_cli_args(args)
-        assert config.jobs == 3
-
     def test_jobs_flag_warns_nothing(self, recwarn):
         parser = fleet_cli.build_parser()
         config = FleetConfig.from_cli_args(parser.parse_args(["--jobs", "2"]))

@@ -69,15 +69,6 @@ class TestMakeRuntime:
 
 
 class TestProcessRuntimeConstruction:
-    def test_workers_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            runtime = ProcessRuntime(workers=2)
-        assert runtime.jobs == 2
-
-    def test_jobs_wins_over_alias(self):
-        with pytest.warns(DeprecationWarning):
-            assert ProcessRuntime(jobs=4, workers=2).jobs == 4
-
     def test_bounds(self):
         with pytest.raises(ConfigurationError):
             ProcessRuntime(jobs=0)

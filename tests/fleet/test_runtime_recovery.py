@@ -9,8 +9,6 @@ mocked. Lifecycle: engines own their runtime teardown on error, and
 ``close()`` is idempotent everywhere.
 """
 
-import json
-
 import pytest
 
 from repro.errors import ConfigurationError

@@ -21,7 +21,6 @@ Three mechanisms, three contracts:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
