@@ -31,6 +31,7 @@ from repro.errors import ConfigurationError, ModelNotFittedError, ProfilingError
 from repro.ml.linear import LinearRegression
 from repro.nf.framework import NetworkFunction
 from repro.nic.spec import COMPRESSION, REGEX
+from repro.numeric import left_sum
 from repro.profiling.collector import ProfilingCollector
 from repro.profiling.contention import ContentionLevel
 from repro.traffic.profile import TrafficProfile
@@ -81,7 +82,7 @@ def waterfill_rates(shares: list[AcceleratorShare]) -> dict[str, float]:
     saturated = {s.name for s in shares if s.offered_rate is None}
     for _ in range(64):
         unsat = [s for s in shares if s.name not in saturated]
-        busy = sum(s.offered_rate * s.request_time_us for s in unsat)
+        busy = left_sum(s.offered_rate * s.request_time_us for s in unsat)
         sat = [s for s in shares if s.name in saturated]
         if not sat:
             if busy <= 1.0:
@@ -89,7 +90,7 @@ def waterfill_rates(shares: list[AcceleratorShare]) -> dict[str, float]:
             heaviest = max(unsat, key=lambda s: s.offered_rate * s.request_time_us)
             saturated.add(heaviest.name)
             continue
-        weight = sum(s.n_queues * s.request_time_us for s in sat)
+        weight = left_sum(s.n_queues * s.request_time_us for s in sat)
         spare = max(0.0, 1.0 - busy)
         per_queue = spare / weight if weight > 0 else 0.0
         moved = False

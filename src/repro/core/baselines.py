@@ -14,6 +14,7 @@ from __future__ import annotations
 
 
 from repro.errors import ConfigurationError
+from repro.numeric import left_sum
 
 _FLOOR = 1e-6
 
@@ -22,7 +23,7 @@ def compose_sum(solo: float, per_resource: list[float]) -> float:
     """Sum composition: subtract every per-resource drop."""
     if solo <= 0:
         raise ConfigurationError("solo throughput must be positive")
-    total_drop = sum(max(0.0, solo - t) for t in per_resource)
+    total_drop = left_sum(max(0.0, solo - t) for t in per_resource)
     return float(max(solo - total_drop, _FLOOR))
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.nf.framework import NetworkFunction
 from repro.nic.workload import ExecutionPattern
+from repro.numeric import left_sum
 from repro.profiling.collector import ProfilingCollector
 from repro.profiling.contention import ContentionLevel
 from repro.traffic.profile import TrafficProfile
@@ -35,7 +36,9 @@ def _drops(solo: float, per_resource: list[float]) -> list[float]:
     """Per-resource throughput drops, clamped to [0, solo)."""
     if solo <= 0:
         raise ConfigurationError("solo throughput must be positive")
-    return [float(np.clip(solo - t, 0.0, solo - _FLOOR)) for t in per_resource]
+    # ``solo - t`` first, so NaN propagates as it does through np.clip;
+    # with solo > 0 it is never -0.0, so max() picks the same zero.
+    return [float(min(max(solo - t, 0.0), solo - _FLOOR)) for t in per_resource]
 
 
 def pipeline_throughput(solo: float, per_resource: list[float]) -> float:
@@ -50,7 +53,7 @@ def run_to_completion_throughput(solo: float, per_resource: list[float]) -> floa
     drops = _drops(solo, per_resource)
     if not drops:
         return solo
-    inverse = sum(1.0 / (solo - d) for d in drops) - (len(drops) - 1) / solo
+    inverse = left_sum(1.0 / (solo - d) for d in drops) - (len(drops) - 1) / solo
     return max(1.0 / inverse, _FLOOR)
 
 

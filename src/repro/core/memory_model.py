@@ -7,9 +7,10 @@ packet_size, mtbr)`` is appended to the input features so one model
 covers the whole traffic space instead of a single profile.
 
 Prediction is available one scenario at a time (:meth:`predict`) or
-batched (:meth:`predict_batch`); the batch path shares one scaler pass
-and one packed-ensemble traversal across the whole request set and is
-bit-identical per row to the single-call path.
+batched (:meth:`predict_batch`); the batch path builds its feature
+matrix with one ``np.array`` call, shares one scaler pass and one
+ensemble traversal across the whole request set, and is bit-identical
+per row to the single-call path.
 
 Two training modes are supported:
 
@@ -32,7 +33,7 @@ import numpy as np
 from repro.errors import ConfigurationError, ModelNotFittedError, ProfilingError
 from repro.ml.gbr import GradientBoostingRegressor
 from repro.ml.preprocessing import StandardScaler
-from repro.nic.counters import PerfCounters
+from repro.nic.counters import PerfCounters, counter_values
 from repro.profiling.dataset import ProfileDataset
 from repro.rng import SeedLike
 from repro.traffic.profile import TrafficProfile
@@ -126,17 +127,6 @@ class MemoryContentionModel:
         return self
 
     # ------------------------------------------------------------------
-    def _features(
-        self,
-        counters: PerfCounters,
-        traffic: TrafficProfile,
-        n_competitors: int,
-    ) -> np.ndarray:
-        row = np.concatenate([counters.as_vector(), [float(n_competitors)]])
-        if self.traffic_aware:
-            row = np.concatenate([row, traffic.as_vector()])
-        return row.reshape(1, -1)
-
     def predict(
         self,
         competitor_counters: PerfCounters,
@@ -167,14 +157,32 @@ class MemoryContentionModel:
             raise ProfilingError("predict_batch inputs must have equal lengths")
         if not traffics:
             return np.empty(0)
-        rows = np.vstack(
-            [
-                self._features(counters, traffic, n)
-                for counters, traffic, n in zip(
-                    competitor_counters, traffics, n_competitors
-                )
-            ]
-        )
+        # One matrix in ProfileDataset.features' column order: counters,
+        # competitor count, then (traffic-aware) the traffic attributes.
+        if self.traffic_aware:
+            rows = np.array(
+                [
+                    (
+                        *counter_values(counters),
+                        float(n),
+                        float(traffic.flow_count),
+                        float(traffic.packet_size),
+                        traffic.mtbr,
+                    )
+                    for counters, traffic, n in zip(
+                        competitor_counters, traffics, n_competitors
+                    )
+                ],
+                dtype=float,
+            )
+        else:
+            rows = np.array(
+                [
+                    (*counter_values(counters), float(n))
+                    for counters, n in zip(competitor_counters, n_competitors)
+                ],
+                dtype=float,
+            )
         scaled = self._scaler.transform(rows)
         if self.quantized:
             scaled = self._snap(scaled)

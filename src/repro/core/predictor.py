@@ -9,12 +9,27 @@ get?"* — resolved as a small fixed point over the per-NF predictions,
 because each NF's accelerator pressure depends on its own predicted
 rate.
 
-Hot-path notes: :meth:`YalaPredictor.predict_many` batches whole
-scenario sweeps through the memory model (bit-identical to looping
-:meth:`YalaPredictor.predict`), the colocation fixed point evaluates
-the memory model once per target instead of once per iteration, and
-:meth:`YalaSystem.train` accepts ``jobs`` for process-parallel per-NF
-training with deterministic (seed-derived) results.
+Hot-path notes:
+
+- :meth:`YalaPredictor.predict_many` batches whole scenario sweeps
+  through the memory model, bit-identical to looping
+  :meth:`YalaPredictor.predict`.
+- The colocation fixed point evaluates the memory model once per
+  target instead of once per iteration, and builds one batch per
+  predictor across all requests.
+- The accelerator side is split into a plan and an evaluation. The plan
+  (``YalaPredictor._plan``) holds what no offered rate changes: per
+  accelerator, the NF's own share and solo rate and every competitor's
+  named share. It is built once per placement. Each fixed-point
+  iteration only fills in the competitors' offered rates, water-fills
+  and composes (``YalaPredictor._evaluate``).
+  :meth:`YalaPredictor.predict_with_cached` runs the same pair, so
+  there is one implementation.
+- NF competitors' solo counters come from the collector's cache, keyed
+  by the NF objects the system's predictors already hold
+  (:meth:`YalaSystem.nf_of`), not by rebuilt ones.
+- :meth:`YalaSystem.train` accepts ``jobs`` for process-parallel per-NF
+  training with deterministic (seed-derived) results.
 """
 
 from __future__ import annotations
@@ -22,7 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from repro.core.accel_model import AcceleratorShare, QueueingAcceleratorModel
+from repro.core.accel_model import (
+    AcceleratorShare,
+    QueueingAcceleratorModel,
+    waterfill_rates,
+)
 from repro.core.composition import (
     PatternDetectionResult,
     compose,
@@ -46,19 +65,32 @@ from repro.traffic.profile import TrafficProfile
 _JOINT_ITERATIONS = 10
 
 
+class _AcceleratorPlan(NamedTuple):
+    """One accelerator's loop-invariant inputs to a prediction.
+
+    ``competitors`` pairs each competitor's share with the key of its
+    offered rate: ``None`` for a bench, whose share is final; for an NF
+    the share (named ``f"{nf}#{index}"``) is completed per evaluation
+    with the rate stored under that key.
+    """
+
+    target: AcceleratorShare
+    solo_rate: float
+    competitors: tuple[tuple[AcceleratorShare, Optional[int]], ...]
+
+
 class _PlanEntry(NamedTuple):
     """Per-placement evaluation plan of ``predict_colocation_batch``.
 
     ``solo_slot``/``memory_slot`` index the predictor's batched
     memory-model evaluation (solo slots are shared across cases with
-    the same traffic).
+    the same traffic); ``accelerators`` is the placement's
+    :meth:`YalaPredictor._plan`, keyed by placement index.
     """
 
     name: str
     predictor: "YalaPredictor"
-    traffic: "TrafficProfile"
-    competitors: list["CompetitorSpec"]
-    peer_slots: list[int]
+    accelerators: list[_AcceleratorPlan]
     solo_slot: int
     memory_slot: int
 
@@ -203,7 +235,18 @@ class YalaPredictor:
         competitor_shares: list[AcceleratorShare],
         solo: float,
     ) -> float:
-        """End-to-end throughput if only ``accelerator`` were contended.
+        """End-to-end throughput if only ``accelerator`` were contended."""
+        model = self.accel_models[accelerator]
+        return self._pattern_throughput(
+            solo,
+            model.solo_rate(traffic),
+            model.contended_rate(traffic, competitor_shares),
+        )
+
+    def _pattern_throughput(
+        self, solo: float, rate_solo: float, rate_contended: float
+    ) -> float:
+        """End-to-end throughput from an accelerator's service rates.
 
         The queueing model yields resource-level rates; the conversion
         to end-to-end depends on the execution pattern:
@@ -212,9 +255,6 @@ class YalaPredictor:
         - run-to-completion: the per-packet accelerator time grows from
           ``1/R_solo`` to ``1/R_cont`` inside the additive time budget.
         """
-        model = self.accel_models[accelerator]
-        rate_solo = model.solo_rate(traffic)
-        rate_contended = model.contended_rate(traffic, competitor_shares)
         if self.pattern is ExecutionPattern.PIPELINE:
             return min(solo, rate_contended)
         inverse = 1.0 / solo + max(0.0, 1.0 / rate_contended - 1.0 / rate_solo)
@@ -249,15 +289,22 @@ class YalaPredictor:
             )
         return None
 
-    def competitor_counters(self, competitors: list[CompetitorSpec]) -> PerfCounters:
+    def competitor_counters(
+        self,
+        competitors: list[CompetitorSpec],
+        system: Optional["YalaSystem"] = None,
+    ) -> PerfCounters:
         """Aggregate solo counter vector of ``competitors``.
 
         Bench competitors are sized with the same core budget the
         profiling co-runs gave them (``num_cores`` minus this NF's
         cores), keeping predict-time features consistent with the
         training features in :class:`ProfilingCollector.profile_one`.
+        NF competitors are measured solo; their NF objects come from
+        ``system`` (:meth:`YalaSystem.nf_of`) when given.
         """
         bench_budget = self._collector.nic.spec.num_cores - self.nf.cores
+        nf_of = make_nf if system is None else system.nf_of
         samples = []
         for spec in competitors:
             if spec.kind == "bench":
@@ -265,9 +312,8 @@ class YalaPredictor:
                     self._collector.bench_counters(spec.contention, bench_budget)
                 )
             else:
-                competitor_nf = make_nf(spec.nf_name)
                 samples.append(
-                    self._collector.solo(competitor_nf, spec.traffic).counters
+                    self._collector.solo(nf_of(spec.nf_name), spec.traffic).counters
                 )
         return PerfCounters.aggregate(samples)
 
@@ -323,7 +369,7 @@ class YalaPredictor:
         counters_list = []
         n_competitors_list = []
         for _, competitors in requests:
-            counters_list.append(self.competitor_counters(competitors))
+            counters_list.append(self.competitor_counters(competitors, system))
             n_competitors_list.append(
                 sum(
                     spec.contention.actor_count if spec.kind == "bench" else 1
@@ -368,47 +414,93 @@ class YalaPredictor:
         """
         if self.pattern is None:
             raise ModelNotFittedError(f"{self.nf_name}: train() first")
-        per_resource = [memory_throughput]
-        for accelerator in self.accel_models:
-            shares = []
+        return self._evaluate(
+            self._plan(traffic, competitors, system),
+            solo,
+            memory_throughput,
+            competitor_rates or {},
+        )
+
+    def _plan(
+        self,
+        traffic: TrafficProfile,
+        competitors: list[CompetitorSpec],
+        system: Optional["YalaSystem"],
+        rate_keys: Optional[list[int]] = None,
+    ) -> list[_AcceleratorPlan]:
+        """The accelerator inputs of a prediction that no rate changes.
+
+        Per accelerator: this NF's share and solo rate, and every
+        competitor's share. NF competitor ``index`` reads its offered
+        rate under ``rate_keys[index]`` (default: ``index``); without a
+        ``system`` NF competitors' accelerator demand is unknown and
+        they are left out.
+        """
+        plan = []
+        for accelerator, model in self.accel_models.items():
+            entries = []
             for index, spec in enumerate(competitors):
-                share = self._competitor_share(
-                    accelerator, index, spec, system, competitor_rates
+                if spec.kind == "bench":
+                    share = self._bench_share(accelerator, spec.contention)
+                    if share is not None:
+                        entries.append((share, None))
+                    continue
+                if system is None:
+                    continue
+                peer = system.predictor_of(spec.nf_name).accel_models.get(accelerator)
+                if peer is None:
+                    continue
+                share = peer.share(spec.traffic)
+                # Disambiguate duplicate NFs in one co-location.
+                entries.append(
+                    (
+                        AcceleratorShare(
+                            name=f"{share.name}#{index}",
+                            n_queues=share.n_queues,
+                            request_time_us=share.request_time_us,
+                        ),
+                        index if rate_keys is None else rate_keys[index],
+                    )
                 )
-                if share is not None:
-                    shares.append(share)
+            plan.append(
+                _AcceleratorPlan(
+                    target=model.share(traffic),
+                    solo_rate=model.solo_rate(traffic),
+                    competitors=tuple(entries),
+                )
+            )
+        return plan
+
+    def _evaluate(
+        self,
+        plan: list[_AcceleratorPlan],
+        solo: float,
+        memory_throughput: float,
+        rates: dict[int, float],
+    ) -> float:
+        """Compose one prediction from its plan and the offered rates.
+
+        Each NF competitor offers ``rates.get(key)`` (``None``: it keeps
+        its queues saturated, Eq. 1).
+        """
+        per_resource = [memory_throughput]
+        for target, solo_rate, competitors in plan:
+            shares = [target]
+            for share, key in competitors:
+                if key is not None:
+                    share = AcceleratorShare(
+                        name=share.name,
+                        n_queues=share.n_queues,
+                        request_time_us=share.request_time_us,
+                        offered_rate=rates.get(key),
+                    )
+                shares.append(share)
             per_resource.append(
-                self._accelerator_throughput(accelerator, traffic, shares, solo)
+                self._pattern_throughput(
+                    solo, solo_rate, waterfill_rates(shares)[target.name]
+                )
             )
         return compose(self.pattern, solo, per_resource)
-
-    def _competitor_share(
-        self,
-        accelerator: str,
-        index: int,
-        spec: CompetitorSpec,
-        system: Optional["YalaSystem"],
-        competitor_rates: Optional[dict[int, float]],
-    ) -> Optional[AcceleratorShare]:
-        if spec.kind == "bench":
-            return self._bench_share(accelerator, spec.contention)
-        if system is None:
-            return None
-        peer = system.predictor_of(spec.nf_name)
-        model = peer.accel_models.get(accelerator)
-        if model is None:
-            return None
-        offered = None
-        if competitor_rates is not None and index in competitor_rates:
-            offered = competitor_rates[index]
-        share = model.share(spec.traffic, offered_rate=offered)
-        # Disambiguate duplicate NFs in one co-location.
-        return AcceleratorShare(
-            name=f"{share.name}#{index}",
-            n_queues=share.n_queues,
-            request_time_us=share.request_time_us,
-            offered_rate=share.offered_rate,
-        )
 
 
 def _train_predictor_worker(
@@ -549,6 +641,15 @@ class YalaSystem:
                 f"{sorted(self._predictors)}"
             ) from None
 
+    def nf_of(self, nf_name: str) -> NetworkFunction:
+        """The catalogued NF ``nf_name``, as its trained predictor holds it.
+
+        Falls back to building it when no predictor of that name is
+        trained; the NF is immutable, so either object measures alike.
+        """
+        predictor = self._predictors.get(nf_name)
+        return make_nf(nf_name) if predictor is None else predictor.nf
+
     @property
     def trained_names(self) -> list[str]:
         return sorted(self._predictors)
@@ -666,20 +767,16 @@ class YalaSystem:
         plans = []
         for placements, benches in requests:
             benches = list(benches or [])
+            peers = [CompetitorSpec.nf(name, traffic) for name, traffic in placements]
+            slots = list(range(len(placements)))
             entries = []
             for i, (name, traffic) in enumerate(placements):
                 predictor = self.predictor_of(name)
                 if predictor.memory_model is None:
                     raise ModelNotFittedError(f"{name}: train() first")
-                competitors = []
-                peer_slots = []
-                for j, (peer_name, peer_traffic) in enumerate(placements):
-                    if j == i:
-                        continue
-                    competitors.append(CompetitorSpec.nf(peer_name, peer_traffic))
-                    peer_slots.append(j)
-                competitors.extend(benches)
-                counters = predictor.competitor_counters(competitors)
+                competitors = peers[:i] + peers[i + 1 :] + benches
+                peer_slots = slots[:i] + slots[i + 1 :]
+                counters = predictor.competitor_counters(competitors, self)
                 n_competitors = sum(
                     spec.contention.actor_count if spec.kind == "bench" else 1
                     for spec in competitors
@@ -694,9 +791,11 @@ class YalaSystem:
                     _PlanEntry(
                         name=name,
                         predictor=predictor,
-                        traffic=traffic,
-                        competitors=competitors,
-                        peer_slots=peer_slots,
+                        # NF peers read their offered rate from the
+                        # fixed point's rate of their placement slot.
+                        accelerators=predictor._plan(
+                            traffic, competitors, self, rate_keys=peer_slots
+                        ),
                         solo_slot=solo_slot,
                         memory_slot=memory_slot,
                     )
@@ -724,22 +823,13 @@ class YalaSystem:
             ]
             rates = list(solos)
             for _ in range(_JOINT_ITERATIONS):
-                updated = []
-                for i, entry in enumerate(entries):
-                    rate_map = {
-                        slot: rates[j]
-                        for slot, j in enumerate(entry.peer_slots)
-                    }
-                    updated.append(
-                        entry.predictor.predict_with_cached(
-                            entry.traffic,
-                            entry.competitors,
-                            solo=solos[i],
-                            memory_throughput=memories[i],
-                            system=self,
-                            competitor_rates=rate_map,
-                        )
+                by_slot = dict(enumerate(rates))
+                updated = [
+                    entry.predictor._evaluate(
+                        entry.accelerators, solos[i], memories[i], by_slot
                     )
+                    for i, entry in enumerate(entries)
+                ]
                 if not updated:
                     break
                 if max(

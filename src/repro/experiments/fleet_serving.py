@@ -26,6 +26,7 @@ from repro.fleet.config import FleetConfig, simulate
 from repro.fleet.engine import EventReport, FleetReport
 from repro.fleet.policies import FLEET_POLICY_NAMES, PlacementModel
 from repro.nf.catalog import EVALUATION_NF_NAMES
+from repro.numeric import left_sum
 
 
 @dataclass
@@ -38,7 +39,7 @@ class FleetResult:
         rows = []
         for name, report in self.reports.items():
             mean_tput = (
-                sum(m.aggregate_throughput_mpps for m in report.metrics)
+                left_sum(m.aggregate_throughput_mpps for m in report.metrics)
                 / len(report.metrics)
                 if report.metrics
                 else 0.0

@@ -186,8 +186,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    names = args.only.split(",") if args.only else None
-    results = run_experiments(names, scale=args.scale, jobs=args.jobs)
+    try:
+        keys = _select(args.only.split(",") if args.only else None)
+    except KeyError as error:
+        parser.error(error.args[0])
+    results = run_experiments(keys, scale=args.scale, jobs=args.jobs)
     for key, result in results.items():
         print()
         print(f"=== {key} ===")

@@ -42,6 +42,7 @@ from repro.errors import ConfigurationError, PlacementError
 from repro.fleet.churn import ServiceRequest
 from repro.fleet.topology import Topology
 from repro.nic.spec import NicSpecification, get_spec
+from repro.numeric import left_sum
 from repro.rng import derive_seed, make_rng
 from repro.traffic.profile import TrafficProfile
 
@@ -105,7 +106,7 @@ class NicProvisioner:
             _specs if _specs is not None
             else {name: get_spec(name) for name in mix}
         )
-        total = float(sum(mix.values()))
+        total = float(left_sum(mix.values()))
         if total <= 0:
             raise ConfigurationError("provisioner mix weights must be > 0")
         self._mix = tuple((name, weight / total) for name, weight in mix.items())

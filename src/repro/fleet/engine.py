@@ -114,6 +114,7 @@ from repro.fleet.policies import FleetPolicy, PlacementModel, make_policy
 from repro.fleet.runtime import PodScoreTask, Runtime, make_runtime
 from repro.fleet.topology import Topology
 from repro.nf.catalog import make_nf
+from repro.numeric import left_sum
 from repro.obs import (
     NULL_RECORDER,
     Recorder,
@@ -344,7 +345,7 @@ class FleetReport:
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    return left_sum(values) / len(values) if values else 0.0
 
 
 
@@ -1335,13 +1336,13 @@ class EventEngine:
             for instance in live
             if drops[instance.instance_id] > instance.sla_drop_fraction
         ]
-        drop_sum = sum(drops[r.instance_id] for r in live)
+        drop_sum = left_sum(drops[r.instance_id] for r in live)
         state.integrate(t)
         state.prev_violations, state.prev_drop_sum = len(violated), drop_sum
         state.prev_fail_viol, state.prev_fail_drop = _failure_attribution(
             cluster, drops
         )
-        total_throughput = sum(throughputs.values())
+        total_throughput = left_sum(throughputs.values())
         report.observations.append(
             ObservationRecord(
                 time=t,

@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
+from repro.numeric import left_sum
 from repro.rng import derive_seed, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -287,7 +288,7 @@ def faults_payload(
         **counts,
         "services_replaced": len(replacements),
         "mean_time_to_recover": (
-            sum(recover_times) / len(recover_times) if recover_times else 0.0
+            left_sum(recover_times) / len(recover_times) if recover_times else 0.0
         ),
         "max_time_to_recover": max(recover_times, default=0.0),
         "failure_violation_service_seconds": (

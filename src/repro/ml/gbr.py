@@ -12,9 +12,25 @@ loop while removing most of its cost:
   in-sample rows is read from the leaf assignments recorded while the
   tree grew (no re-traversal); only rows outside the stage's subsample
   are routed through the tree.
-- **Packed batch prediction**: at predict time the whole ensemble is
-  flattened into one set of node arrays, so a batch of rows descends
-  all trees simultaneously instead of looping tree by tree in Python.
+- **Fixed-depth predict kernel**: the first ``predict`` after a fit
+  packs every tree into one set of node arrays (``fit`` drops the
+  pack). Each tree is renumbered breadth-first so that a node's right
+  child is its left child + 1. A leaf points to itself and tests a
+  constant zero column appended to every row, so ``0.0 <= 0.0`` keeps
+  a row at its leaf, NaN features included. Every row then descends
+  exactly the ensemble's maximum depth (3 for every model in the repo)
+  with no "still active?" bookkeeping: per level,
+  ``nodes = left[nodes] + ~(x[feature[nodes]] <= threshold[nodes])``,
+  so NaN fails the test and goes right, as in the per-tree descent.
+  Rows go in blocks of :data:`_BLOCK_ROWS`, which keeps each level's
+  (rows, trees) temporaries small.
+- **Stage sum by ``cumsum``**: the stages add up with one
+  ``np.cumsum`` over ``[base, lr*leaf_0, lr*leaf_1, ...]``, keeping
+  the last column. ``cumsum`` is a sequential left fold, so it makes
+  the same additions in the same order as the per-stage loop
+  ``prediction += lr * leaf``. ``np.sum`` would not: it adds pairwise.
+  :meth:`GradientBoostingRegressor.staged_predict` keeps the per-tree
+  loop as the reference.
 
 Early stopping truncates the ensemble back to the best validation
 stage (as scikit-learn does), instead of keeping the stale trees fitted
@@ -23,13 +39,30 @@ after the validation loss stopped improving.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ModelNotFittedError
 from repro.ml.tree import _NO_CHILD, DecisionTreeRegressor
 from repro.rng import SeedLike, make_rng
+
+#: Rows per block of the predict kernel. At 300 stages a block's
+#: (rows, trees) temporaries stay under 64 KB; 64-row blocks, 150 KB
+#: temporaries, made 1,000-row batches about 1.6x slower on a 2-vCPU
+#: VM, most of it spent allocating.
+_BLOCK_ROWS = 24
+
+
+class _PackedEnsemble(NamedTuple):
+    """All trees as one set of node arrays (see ``_packed_ensemble``)."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
 
 
 class GradientBoostingRegressor:
@@ -106,7 +139,8 @@ class GradientBoostingRegressor:
         self._trees: list[DecisionTreeRegressor] = []
         self._train_losses: list[float] = []
         self._val_losses: list[float] = []
-        self._packed: Optional[tuple[np.ndarray, ...]] = None
+        self._packed: Optional[_PackedEnsemble] = None
+        self._n_features = 0
         self._fitted = False
 
     # ------------------------------------------------------------------
@@ -141,6 +175,7 @@ class GradientBoostingRegressor:
         self._train_losses = []
         self._val_losses = []
         self._packed = None
+        self._n_features = features.shape[1]
         current = np.full(x_train.shape[0], self._base_prediction)
         current_val = np.full(x_val.shape[0], self._base_prediction)
 
@@ -243,71 +278,92 @@ class GradientBoostingRegressor:
         return prediction
 
     # ------------------------------------------------------------------
-    def _pack_ensemble(self) -> tuple[np.ndarray, ...]:
-        """Flatten all trees into one node-array set (cached).
+    def _packed_ensemble(self) -> _PackedEnsemble:
+        """The ensemble in the fixed-depth layout (see module docstring).
 
-        Concatenates the per-tree flat arrays, shifting child ids by
-        each tree's node offset, so prediction can advance a whole
-        ``(rows, trees)`` matrix of cursors per level instead of looping
-        over trees in Python.
+        Trees are concatenated in stage order. Values are stored
+        pre-multiplied by the learning rate: the product is the same
+        float the per-stage loop computes.
         """
         if self._packed is None:
-            offsets = np.cumsum([0] + [t.node_count for t in self._trees])[:-1]
-            feature = np.concatenate([t._feature_arr for t in self._trees])
-            threshold = np.concatenate([t._threshold_arr for t in self._trees])
-            value = np.concatenate([t._value_arr for t in self._trees])
-            left = np.concatenate(
-                [t._left_arr + off for t, off in zip(self._trees, offsets)]
+            zero_column = self._n_features
+            feature, threshold, left, value, roots = [], [], [], [], []
+            depth = 0
+            for tree in self._trees:
+                base = len(feature)
+                roots.append(base)
+                # (old node id, depth) in breadth-first order; children
+                # are appended as pairs, so sibling ids are adjacent.
+                order = [(0, 0)]
+                for old, level in order:
+                    if tree._feature[old] == _NO_CHILD:
+                        feature.append(zero_column)
+                        threshold.append(0.0)
+                        left.append(len(left))
+                        depth = max(depth, level)
+                    else:
+                        feature.append(tree._feature[old])
+                        threshold.append(tree._threshold[old])
+                        left.append(base + len(order))
+                        order.append((tree._left[old], level + 1))
+                        order.append((tree._right[old], level + 1))
+                    value.append(self.learning_rate * tree._value[old])
+            self._packed = _PackedEnsemble(
+                feature=np.asarray(feature, dtype=np.intp),
+                threshold=np.asarray(threshold, dtype=float),
+                left=np.asarray(left, dtype=np.intp),
+                value=np.asarray(value, dtype=float),
+                roots=np.asarray(roots, dtype=np.intp),
+                depth=depth,
             )
-            right = np.concatenate(
-                [t._right_arr + off for t, off in zip(self._trees, offsets)]
-            )
-            self._packed = (feature, threshold, left, right, value, offsets)
         return self._packed
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict targets for ``features`` (n, d) -> (n,)."""
         if not self._fitted:
             raise ModelNotFittedError("GradientBoostingRegressor.predict before fit")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
+        features = self._checked(features)
         n = features.shape[0]
-        prediction = np.full(n, self._base_prediction)
         if not self._trees:
-            return prediction
-        feature, threshold, left, right, value, offsets = self._pack_ensemble()
-
-        # Descend all rows through all trees simultaneously, one tree
-        # level per iteration. While every cursor is still at an
-        # internal node (the common case for depth-limited boosting
-        # trees), advance the full matrix without building index
-        # tuples.
-        nodes = np.broadcast_to(offsets, (n, offsets.size)).copy()
-        rows = np.arange(n)[:, None]
-        split_feature = feature[nodes]
-        active = split_feature != _NO_CHILD
-        while active.any():
-            if active.all():
-                go_left = features[rows, split_feature] <= threshold[nodes]
-                nodes = np.where(go_left, left[nodes], right[nodes])
-                split_feature = feature[nodes]
-                active = split_feature != _NO_CHILD
-            else:
-                pos = np.nonzero(active)
-                node_ids = nodes[pos]
-                go_left = (
-                    features[pos[0], split_feature[pos]] <= threshold[node_ids]
+            return np.full(n, self._base_prediction)
+        packed = self._packed_ensemble()
+        feature, threshold, left = packed.feature, packed.threshold, packed.left
+        width = self._n_features + 1
+        # Row-major copy with the zero column appended, flattened so one
+        # gather reads every (row, tree) cursor's split feature.
+        padded = np.zeros((n, width))
+        padded[:, :-1] = features
+        flat = padded.reshape(-1)
+        prediction = np.empty(n)
+        terms = np.empty((min(n, _BLOCK_ROWS), packed.roots.size + 1))
+        terms[:, 0] = self._base_prediction
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            offsets = np.arange(start * width, stop * width, width)[:, None]
+            # The roots broadcast against the rows' offsets, so the first
+            # level gathers one node per tree, not one per (row, tree).
+            nodes = packed.roots
+            for _ in range(packed.depth):
+                # NaN fails the test and goes right, as in tree.apply.
+                nodes = left[nodes] + ~(
+                    flat[offsets + feature[nodes]] <= threshold[nodes]
                 )
-                advanced = np.where(go_left, left[node_ids], right[node_ids])
-                nodes[pos] = advanced
-                split_feature[pos] = feature[advanced]
-                active[pos] = split_feature[pos] != _NO_CHILD
-        leaf_values = value[nodes]
-
-        # Accumulate stages sequentially (same float-op order as the
-        # per-tree loop, so results are bit-identical to it).
-        for stage in range(leaf_values.shape[1]):
-            prediction += self.learning_rate * leaf_values[:, stage]
+            block = terms[: stop - start]
+            block[:, 1:] = packed.value[nodes]
+            # cumsum is a sequential left fold: the same additions, in
+            # the same order, as ``prediction += lr * leaf`` per stage.
+            prediction[start:stop] = np.cumsum(block, axis=1)[:, -1]
         return prediction
+
+    def _checked(self, features: np.ndarray) -> np.ndarray:
+        """``features`` as a float (n, d) matrix of the fitted width."""
+        features = np.atleast_2d(np.asarray(features, dtype=float))
+        if features.ndim != 2 or features.shape[1] != self._n_features:
+            raise ConfigurationError(
+                f"model was fitted on {self._n_features} features, "
+                f"got input of shape {features.shape}"
+            )
+        return features
 
     @property
     def n_stages(self) -> int:
@@ -336,7 +392,9 @@ class GradientBoostingRegressor:
         """
         if not self._fitted:
             raise ModelNotFittedError("staged_predict before fit")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
+        if every < 1:
+            raise ConfigurationError(f"every must be >= 1, got {every}")
+        features = self._checked(features)
         prediction = np.full(features.shape[0], self._base_prediction)
         stages = []
         for i, tree in enumerate(self._trees):

@@ -24,6 +24,7 @@ from typing import Optional
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.nic.spec import AcceleratorSpec
+from repro.numeric import left_sum
 
 _WATERFILL_ITERATIONS = 64
 
@@ -104,7 +105,7 @@ class AcceleratorEngine:
 
         for _ in range(_WATERFILL_ITERATIONS):
             unsat = [c for c in clients if c.name not in saturated]
-            busy_unsat = sum(c.offered_rate * times[c.name] for c in unsat)
+            busy_unsat = left_sum(c.offered_rate * times[c.name] for c in unsat)
             sat = [c for c in clients if c.name in saturated]
 
             if not sat:
@@ -121,7 +122,7 @@ class AcceleratorEngine:
                 saturated.add(heaviest.name)
                 continue
 
-            weight = sum(times[c.name] * c.n_queues for c in sat)
+            weight = left_sum(times[c.name] * c.n_queues for c in sat)
             spare = max(0.0, 1.0 - busy_unsat)
             per_queue_rate = spare / weight if weight > 0 else 0.0
 
@@ -151,7 +152,7 @@ class AcceleratorEngine:
                     rates[c.name] = c.n_queues * per_queue_rate
                 else:
                     rates[c.name] = float(c.offered_rate)
-            busy = busy_unsat + sum(
+            busy = busy_unsat + left_sum(
                 rates[c.name] * times[c.name] for c in sat
             )
             return AcceleratorAllocation(

@@ -60,6 +60,7 @@ from repro.nic.memory import (
 )
 from repro.nic.spec import CACHE_LINE_BYTES
 from repro.nic.workload import ExecutionPattern, Resource, WorkloadDemand
+from repro.numeric import left_sum
 from repro.obs import active_recorder
 # derive_seed is no longer called here (noise keys go through
 # SmartNic._noise_factors), but the benchmark harness wraps it as bound
@@ -208,10 +209,10 @@ class _WorkloadPlan:
         self.core_cycles = [s.cycles_pp for s in core]
         self.core_rw = [s.reads_pp + s.writes_pp for s in core]
         self.core_mlp = [s.mlp for s in core]
-        self.reads_sum = sum(s.reads_pp for s in core)
-        self.writes_sum = sum(s.writes_pp for s in core)
-        self.instr_sum = sum(s.instructions_pp for s in w.stages)
-        self.cycles_sum = sum(s.cycles_pp for s in w.stages)
+        self.reads_sum = left_sum(s.reads_pp for s in core)
+        self.writes_sum = left_sum(s.writes_pp for s in core)
+        self.instr_sum = left_sum(s.instructions_pp for s in w.stages)
+        self.cycles_sum = left_sum(s.cycles_pp for s in w.stages)
         self.wss = w.total_wss_bytes()
         self.hot_af = w.hot_access_fraction
         self.hot_wf = w.hot_wss_fraction

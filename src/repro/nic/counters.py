@@ -20,9 +20,12 @@ real BlueField-2 offers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from repro.numeric import left_sum
 
 #: Canonical feature ordering used by every model in the library.
 COUNTER_NAMES: tuple[str, ...] = (
@@ -34,6 +37,10 @@ COUNTER_NAMES: tuple[str, ...] = (
     "memwr",
     "wss",
 )
+
+#: ``counter_values(c)`` is the tuple of ``c``'s counters in
+#: :data:`COUNTER_NAMES` order.
+counter_values = operator.attrgetter(*COUNTER_NAMES)
 
 
 @dataclass(frozen=True)
@@ -75,8 +82,14 @@ class PerfCounters:
 
     @staticmethod
     def aggregate(samples: list["PerfCounters"]) -> "PerfCounters":
-        """Sum a list of counter samples (competitor aggregation)."""
-        total = PerfCounters.zero()
-        for sample in samples:
-            total = total + sample
-        return total
+        """Sum a list of counter samples (competitor aggregation).
+
+        Each field is a left fold from ``0.0``: the additions, in the
+        same order, that chaining ``+`` over the samples performs.
+        """
+        return PerfCounters(
+            *(
+                left_sum(column, 0.0)
+                for column in zip(*map(counter_values, samples))
+            )
+        )

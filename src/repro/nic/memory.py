@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.nic.spec import CACHE_LINE_BYTES, NicSpecification
+from repro.numeric import left_sum
 
 #: DRAM utilisation is clamped below this to keep latency finite.
 _MAX_UTILISATION = 0.97
@@ -198,7 +199,7 @@ class MemorySubsystem:
             + (a.read_rate + a.write_rate) * miss[a.name] * spec.writeback_fraction
             for a in actors
         }
-        total_lines = sum(dram_reads.values()) + sum(dram_writes.values())
+        total_lines = left_sum(dram_reads.values()) + left_sum(dram_writes.values())
         utilisation = min(
             _MAX_UTILISATION,
             total_lines * CACHE_LINE_BYTES / spec.dram_bandwidth_bpus,
@@ -222,7 +223,9 @@ class MemorySubsystem:
     def dram_utilisation(self, actors: list[MemoryActor]) -> float:
         """Fraction of DRAM bandwidth consumed by ``actors``."""
         shares = self.solve(actors)
-        total_lines = sum(s.dram_read_rate + s.dram_write_rate for s in shares.values())
+        total_lines = left_sum(
+            s.dram_read_rate + s.dram_write_rate for s in shares.values()
+        )
         return min(
             _MAX_UTILISATION,
             total_lines * CACHE_LINE_BYTES / self._spec.dram_bandwidth_bpus,

@@ -36,6 +36,7 @@ from repro.nic.workload import (
     StageDemand,
     WorkloadDemand,
 )
+from repro.numeric import left_sum
 from repro.rng import SeedLike, check_seed, derive_seed, derive_seeds, make_rng
 
 _MAX_ITERATIONS = 3000
@@ -311,8 +312,8 @@ class SmartNic:
         actors = []
         for workload in workloads:
             rate = throughput[workload.name]
-            reads = sum(s.reads_pp for s in workload.core_stages()) * rate
-            writes = sum(s.writes_pp for s in workload.core_stages()) * rate
+            reads = left_sum(s.reads_pp for s in workload.core_stages()) * rate
+            writes = left_sum(s.writes_pp for s in workload.core_stages()) * rate
             actors.append(
                 MemoryActor(
                     name=workload.name,
@@ -393,8 +394,8 @@ class SmartNic:
             ]
             caps.extend(accel_caps)
             return float(min(caps)) if caps else 0.0
-        total_core = sum(core_times)
-        accel_wait = sum(cores / cap for cap in accel_caps if cap > 0)
+        total_core = left_sum(core_times)
+        accel_wait = left_sum(cores / cap for cap in accel_caps if cap > 0)
         denom = total_core + accel_wait
         if denom <= 0:
             return np.inf
@@ -517,13 +518,13 @@ class SmartNic:
         self, workload: WorkloadDemand, rate: float, share
     ) -> PerfCounters:
         """Synthesise Table 11 counters at the converged operating point."""
-        reads_pp = sum(s.reads_pp for s in workload.core_stages())
-        writes_pp = sum(s.writes_pp for s in workload.core_stages())
-        instr_pp = sum(s.instructions_pp for s in workload.stages)
-        cycles_pp = sum(s.cycles_pp for s in workload.stages)
+        reads_pp = left_sum(s.reads_pp for s in workload.core_stages())
+        writes_pp = left_sum(s.writes_pp for s in workload.core_stages())
+        instr_pp = left_sum(s.instructions_pp for s in workload.stages)
+        cycles_pp = left_sum(s.cycles_pp for s in workload.stages)
         # Stall cycles from memory references at the converged access
         # time, discounted by each stage's memory-level parallelism.
-        stall_cycles = sum(
+        stall_cycles = left_sum(
             (s.reads_pp + s.writes_pp)
             * share.avg_access_time_us
             / s.mlp

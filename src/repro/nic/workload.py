@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigurationError
+from repro.numeric import left_sum
 
 
 class Resource(enum.Enum):
@@ -162,7 +163,7 @@ class WorkloadDemand:
 
     def total_wss_bytes(self) -> float:
         """Total resident working set across stages."""
-        return sum(s.wss_bytes for s in self.stages)
+        return left_sum(s.wss_bytes for s in self.stages)
 
     def uses_accelerator(self, accelerator: str) -> bool:
         """True when any stage dispatches to ``accelerator``."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.numeric import left_sum
 from repro.rng import SeedLike, make_rng
 
 
@@ -77,7 +78,7 @@ class RuleSet:
 
     def average_complexity(self) -> float:
         """Mean per-match processing weight across rules."""
-        return sum(r.complexity for r in self._rules) / len(self._rules)
+        return left_sum(r.complexity for r in self._rules) / len(self._rules)
 
     def pick(self, rng_seed: SeedLike = None) -> RegexRule:
         """Draw a random rule (used when planting matches)."""

@@ -4,9 +4,11 @@ change."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.memory_model import MemoryContentionModel
-from repro.core.predictor import CompetitorSpec
+from repro.core.predictor import CompetitorSpec, YalaSystem
 from repro.errors import ModelNotFittedError, ProfilingError
 from repro.nf.catalog import make_nf
 from repro.nic.counters import PerfCounters
@@ -191,6 +193,107 @@ class TestSystemBatch:
         assert small_system.predict_batch([]) == []
         assert small_system.predict_colocation_batch([]) == []
         assert small_system.predict_colocation_batch_with_solos([]) == ([], [])
+
+
+#: NFs using both accelerators (ipcomp), regex only (nids) and none
+#: (flowstats).
+_ACCEL_NFS = ("ipcomp", "nids", "flowstats")
+_TRAFFICS = (
+    TrafficProfile(),
+    TrafficProfile(64_000, 512, 300.0),
+    TrafficProfile(4_000, 1500, 900.0),
+)
+_traffics = st.sampled_from(_TRAFFICS)
+_benches = st.builds(
+    lambda mem_car, regex_rate, compression_rate: CompetitorSpec.bench(
+        ContentionLevel(
+            mem_car=mem_car,
+            regex_rate=regex_rate,
+            compression_rate=compression_rate,
+        )
+    ),
+    st.sampled_from([0.0, 60.0, 150.0]),
+    st.sampled_from([0.0, 0.4, 1.5]),
+    st.sampled_from([0.0, 0.3, 1.2]),
+)
+_nf_competitors = st.builds(
+    CompetitorSpec.nf, st.sampled_from(_ACCEL_NFS), _traffics
+)
+
+
+@pytest.fixture(scope="module")
+def accel_system(noisy_nic):
+    """A small system whose NFs use both, one or no accelerators."""
+    return YalaSystem(noisy_nic, seed=404, quota=60).train(list(_ACCEL_NFS))
+
+
+class TestJointPlanProperties:
+    """The per-placement plan must not couple cases or change bytes."""
+
+    @given(
+        requests=st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(st.sampled_from(_ACCEL_NFS), _traffics),
+                    min_size=1,
+                    max_size=4,
+                ),
+                # At most one bench: two benches of a kind share one
+                # accelerator share name, which water-filling rejects.
+                st.one_of(st.none(), st.lists(_benches, max_size=1)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_joint_batch_matches_looped_colocation(self, accel_system, requests):
+        batched = accel_system.predict_colocation_batch(requests)
+        looped = [
+            accel_system.predict_colocation(placements, benches)
+            for placements, benches in requests
+        ]
+        assert batched == looped
+
+    @given(
+        target=st.sampled_from(_ACCEL_NFS),
+        requests=st.lists(
+            st.tuples(
+                _traffics,
+                st.tuples(
+                    st.lists(_nf_competitors, max_size=3),
+                    st.lists(_benches, max_size=1),
+                ).flatmap(lambda parts: st.permutations(parts[0] + parts[1])),
+                st.one_of(
+                    st.none(),
+                    st.dictionaries(
+                        st.integers(0, 3),
+                        st.sampled_from([1e-6, 0.05, 0.5, 3.0]),
+                        max_size=3,
+                    ),
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        with_system=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_predict_many_matches_looped_predict(
+        self, accel_system, target, requests, with_system
+    ):
+        predictor = accel_system.predictor_of(target)
+        system = accel_system if with_system else None
+        batched = predictor.predict_many(
+            [(traffic, competitors) for traffic, competitors, _ in requests],
+            system=system,
+            competitor_rates=[rates for _, _, rates in requests],
+        )
+        looped = [
+            predictor.predict(traffic, competitors, system, rates)
+            for traffic, competitors, rates in requests
+        ]
+        assert batched == looped
 
 
 class TestSlomoBatch:

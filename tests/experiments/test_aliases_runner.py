@@ -101,6 +101,12 @@ class TestParallelRunner:
             main(["--jobs", "0"])
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
+    def test_cli_rejects_unknown_experiment(self, stub_registry, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--only", "stub-alpha,bogus"])
+        assert excinfo.value.code == 2
+        assert "unknown experiment 'bogus'" in capsys.readouterr().err
+
     def test_cli_runs_with_jobs_flag(self, stub_registry, capsys):
         assert main(["--only", "stub-alpha", "--scale", "smoke", "--jobs", "2"]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,11 @@
 """Unit tests for gradient boosting regression."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ModelNotFittedError
 from repro.ml.gbr import GradientBoostingRegressor
@@ -12,6 +16,54 @@ def _smooth_data(n=300, seed=0):
     x = rng.uniform(0, 1, size=(n, 4))
     y = 2.0 * x[:, 0] + np.sin(4 * x[:, 1]) + 0.5 * x[:, 2] * x[:, 3]
     return x, y
+
+
+def _bits(values: np.ndarray) -> bytes:
+    """The exact float64 bits of ``values`` (NaN included)."""
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+@st.composite
+def ensemble_and_probe(draw):
+    """A fitted ensemble and 1-300 probe rows holding NaN and +-inf.
+
+    Covers depth 0-5 trees, full-sample and stochastic boosting, all
+    three split finders, constant targets, and early stopping. Targets
+    of +-1e200 overflow the validation loss to inf, so early stopping
+    never sees an improvement and truncates the ensemble to 0 stages.
+    """
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    n_features = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(12, 60))
+    x = rng.normal(size=(n_rows, n_features))
+    if draw(st.booleans()):
+        x = np.round(x * 2.0) / 2.0  # tied feature values
+    targets = draw(st.sampled_from(["smooth", "constant", "overflowing"]))
+    if targets == "constant":
+        y = np.full(n_rows, 2.5)
+    elif targets == "smooth":
+        y = 2.0 * x[:, 0] + np.sin(3.0 * x[:, -1]) + 0.1 * rng.normal(size=n_rows)
+    else:
+        y = rng.choice([-1e200, 1e200], size=n_rows)
+    model = GradientBoostingRegressor(
+        n_estimators=draw(st.integers(1, 30)),
+        learning_rate=draw(st.sampled_from([0.08, 0.1, 1.0])),
+        max_depth=draw(st.integers(0, 5)),
+        subsample=draw(st.sampled_from([1.0, 0.7])),
+        min_samples_leaf=draw(st.integers(1, 3)),
+        n_iter_no_change=draw(st.sampled_from([None, 1, 3])),
+        split_algorithm=draw(
+            st.sampled_from(["vectorized", "histogram", "reference"])
+        ),
+        seed=seed,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        model.fit(x, y)
+    probe = rng.normal(size=(draw(st.integers(1, 300)), n_features))
+    for special, share in ((np.nan, 0.1), (np.inf, 0.05), (-np.inf, 0.05)):
+        probe[rng.random(probe.shape) < share] = special
+    return model, probe
 
 
 class TestFitting:
@@ -99,23 +151,37 @@ class TestHotPathEquivalence:
         assert np.array_equal(expected, models["vectorized"].predict(probe))
         assert np.array_equal(expected, models["histogram"].predict(probe))
 
-    def test_packed_predict_matches_per_tree_loop(self):
-        x, y = _smooth_data(200)
-        model = GradientBoostingRegressor(n_estimators=25, seed=1).fit(x, y)
-        probe = np.random.default_rng(2).uniform(size=(60, 4))
-        looped = np.full(probe.shape[0], model._base_prediction)
-        for tree in model._trees:
-            looped += model.learning_rate * tree.predict(probe)
-        assert np.array_equal(looped, model.predict(probe))
+    @given(ensemble_and_probe())
+    @settings(max_examples=60, deadline=None)
+    def test_packed_predict_matches_per_tree_loop(self, case):
+        model, probe = case
+        assert _bits(model.predict(probe)) == _bits(model.staged_predict(probe)[-1])
 
-    def test_batch_predict_matches_single_rows(self):
-        x, y = _smooth_data(200)
-        model = GradientBoostingRegressor(n_estimators=25, seed=1).fit(x, y)
-        probe = np.random.default_rng(3).uniform(size=(30, 4))
+    @given(ensemble_and_probe())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_predict_matches_single_rows(self, case):
+        model, probe = case
         singles = np.array(
             [model.predict(probe[i : i + 1])[0] for i in range(probe.shape[0])]
         )
-        assert np.array_equal(singles, model.predict(probe))
+        assert _bits(singles) == _bits(model.predict(probe))
+
+    @given(ensemble_and_probe(), st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_predict_survives_pickle_and_refit(self, case, refit_width):
+        model, probe = case
+        expected = _bits(model.predict(probe))
+        # Before and after the packed layout is cached.
+        assert _bits(pickle.loads(pickle.dumps(model)).predict(probe)) == expected
+        fresh = pickle.loads(pickle.dumps(model))
+        fresh._packed = None
+        assert _bits(fresh.predict(probe)) == expected
+        # A refit, even to another width, must not predict from the
+        # previous fit's layout.
+        rng = np.random.default_rng(refit_width)
+        x = rng.normal(size=(40, refit_width))
+        model.fit(x, np.cos(x[:, 0]) + x[:, -1])
+        assert _bits(model.predict(x)) == _bits(model.staged_predict(x)[-1])
 
 
 class TestEarlyStoppingTruncation:
@@ -183,6 +249,22 @@ class TestValidation:
     def test_staged_predict_before_fit(self):
         with pytest.raises(ModelNotFittedError):
             GradientBoostingRegressor().staged_predict(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("width", [2, 4, 5])
+    def test_predict_rejects_other_input_widths(self, width):
+        x, y = _smooth_data(50)
+        model = GradientBoostingRegressor(n_estimators=5, seed=0).fit(x[:, :3], y)
+        with pytest.raises(ConfigurationError):
+            model.predict(np.ones((2, width)))
+        with pytest.raises(ConfigurationError):
+            model.staged_predict(np.ones((2, width)))
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_staged_predict_rejects_nonpositive_every(self, every):
+        x, y = _smooth_data(50)
+        model = GradientBoostingRegressor(n_estimators=5, seed=0).fit(x, y)
+        with pytest.raises(ConfigurationError):
+            model.staged_predict(x, every=every)
 
 
 class TestIntrospection:
