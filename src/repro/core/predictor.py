@@ -34,7 +34,7 @@ Hot-path notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 from repro.core.accel_model import (
@@ -68,10 +68,12 @@ _JOINT_ITERATIONS = 10
 class _AcceleratorPlan(NamedTuple):
     """One accelerator's loop-invariant inputs to a prediction.
 
-    ``competitors`` pairs each competitor's share with the key of its
-    offered rate: ``None`` for a bench, whose share is final; for an NF
-    the share (named ``f"{nf}#{index}"``) is completed per evaluation
-    with the rate stored under that key.
+    ``competitors`` pairs each competitor's share, named
+    ``f"{name}#{index}"`` by competitor index so that two benches or two
+    NFs of a kind stay distinct clients, with the key of its offered
+    rate: ``None`` for a bench, whose share is final; for an NF the
+    share is completed per evaluation with the rate stored under that
+    key.
     """
 
     target: AcceleratorShare
@@ -443,7 +445,9 @@ class YalaPredictor:
                 if spec.kind == "bench":
                     share = self._bench_share(accelerator, spec.contention)
                     if share is not None:
-                        entries.append((share, None))
+                        entries.append(
+                            (replace(share, name=f"{share.name}#{index}"), None)
+                        )
                     continue
                 if system is None:
                     continue

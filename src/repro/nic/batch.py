@@ -34,6 +34,26 @@ That drives three design rules:
    vectorized ``pow`` is 1 ulp off libm's scalar ``pow`` for some
    inputs, which the equivalence tests would catch.
 
+Signature groups too small to vectorize alone merge into padded
+*families* whose columns are column-compatible rather than identical:
+a column has a union stage layout, and any workload with the same core
+stages whose accelerator stages are a subsequence of it sits there.
+The execution pattern is then a per-row flag, and accelerator stages,
+engine clients and the DMA actor are per-row optional slots. An absent
+slot holds the dummy terms padded lanes rely on (zero demand, exact
+``+0.0`` additions, never hungry, never saturating, results
+discarded), so every real lane still sees the scalar operation
+sequence. A column whose rows share one layout carries no masks and
+pays for none. (A call with more small-group rows than
+:data:`_MIXED_FAMILY_MAX_ROWS` keeps families of identical workload
+signatures.)
+
+Each engine's accelerator capacities come from one *stacked*
+water-fill: every client's closed-loop fill runs as one block of a
+``(client, target, row)`` array, and the busy/weight folds are
+sequential ``np.add.accumulate`` passes over the client axis, the
+scalar solver's left-to-right order.
+
 Per-scenario damping schedules and convergence masks let finished
 scenarios freeze (their state rows stop updating) while stragglers keep
 iterating; once at least half of a group's rows have converged the
@@ -125,7 +145,7 @@ class _CompileCache:
     """
 
     __slots__ = ("enabled", "hits", "misses", "plans", "embeddings",
-                 "columns", "families")
+                 "columns", "fits", "families")
 
     def __init__(self) -> None:
         self.enabled = True
@@ -134,12 +154,14 @@ class _CompileCache:
         self.plans: dict = {}
         self.embeddings: dict = {}
         self.columns: dict = {}
+        self.fits: dict = {}
         self.families: dict = {}
 
     def clear(self) -> None:
         self.plans.clear()
         self.embeddings.clear()
         self.columns.clear()
+        self.fits.clear()
         self.families.clear()
 
 
@@ -194,6 +216,7 @@ class _WorkloadPlan:
         "dma_flag",
         "stage_kinds",
         "stage_labels",
+        "layout",
         "signature",
     )
 
@@ -255,14 +278,11 @@ class _WorkloadPlan:
                 c_idx += 1
         self.stage_kinds = tuple(kinds)
         self.stage_labels = labels
-        self.signature = (
-            self.pattern.value,
-            tuple(
-                (kind, self.accel_names[idx] if kind == "a" else None)
-                for kind, idx in kinds
-            ),
-            self.dma_flag,
+        self.layout = tuple(
+            (kind, self.accel_names[idx] if kind == "a" else None)
+            for kind, idx in kinds
         )
+        self.signature = (self.pattern.value, self.layout, self.dma_flag)
 
 
 def _demand_key(w: WorkloadDemand) -> tuple:
@@ -316,26 +336,35 @@ class _ScenarioPlan:
         self.signature = tuple(p.signature for p in self.workloads)
 
 
-def _shortest_supersequence(a: tuple, b: tuple) -> tuple:
-    """Shortest common supersequence of two workload-signature tuples.
+def _same(a, b):
+    """``a`` if the two items are equal, else ``None`` (exact merging)."""
+    return a if a == b else None
+
+
+def _shortest_supersequence(a: tuple, b: tuple, merge=_same) -> tuple:
+    """Shortest common supersequence of two sequences.
 
     Classic LCS-based construction; both inputs embed into the result
-    as subsequences, so scenarios of either signature can share one
-    padded super-group built on it.
+    as subsequences. ``merge(x, y)`` decides which items may share one
+    position and what that position holds (``None``: they may not); by
+    default only equal items do. Taking an available match is always
+    optimal (dropping one item shortens a common subsequence by at most
+    one), so the construction holds for any such relation.
     """
     n, m = len(a), len(b)
+    pair = [[merge(x, y) for y in b] for x in a]
     lcs = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
         for j in range(m - 1, -1, -1):
-            if a[i] == b[j]:
+            if pair[i][j] is not None:
                 lcs[i][j] = lcs[i + 1][j + 1] + 1
             else:
                 lcs[i][j] = max(lcs[i + 1][j], lcs[i][j + 1])
     merged: list = []
     i = j = 0
     while i < n and j < m:
-        if a[i] == b[j]:
-            merged.append(a[i])
+        if pair[i][j] is not None:
+            merged.append(pair[i][j])
             i += 1
             j += 1
         elif lcs[i + 1][j] >= lcs[i][j + 1]:
@@ -349,61 +378,169 @@ def _shortest_supersequence(a: tuple, b: tuple) -> tuple:
     return tuple(merged)
 
 
-class _ColumnRef:
-    """Column structure of a padded super-group, built from a signature.
+#: A CPU/MEMORY stage in a stage layout (accelerator stages are
+#: ``("a", engine)``).
+_CORE = ("c", None)
 
-    A family's super-signature may be synthesized (a supersequence of
-    its members' signatures), so no single real scenario spans every
-    column; the per-workload signature carries everything the group
-    needs to lay a column out — pattern, stage kinds, accelerator names
-    and the DMA flag — while all numeric values stay per-row.
+
+def _layouts(signature: tuple) -> tuple:
+    """The stage layouts of a scenario signature, one per workload."""
+    return tuple(wsig[1] for wsig in signature)
+
+
+def _repeats_engine(layout: tuple) -> bool:
+    engines = [entry for entry in layout if entry != _CORE]
+    return len(set(engines)) != len(engines)
+
+
+def _column_union(a: tuple, b: tuple) -> Optional[tuple]:
+    """Smallest column layout that stage layouts ``a`` and ``b`` both fit.
+
+    Equal layouts share a column as they are. Otherwise the two need
+    the same number of core stages; the accelerator stages between each
+    pair of core stages merge by shortest common supersequence, and the
+    union may use each engine once, so an engine has at most one client
+    slot per column. ``None`` when no such union exists.
+    """
+    if a == b:
+        return a
+    if a.count(_CORE) != b.count(_CORE):
+        return None
+
+    def gaps(layout: tuple) -> list[tuple]:
+        runs: list[list] = [[]]
+        for entry in layout:
+            if entry == _CORE:
+                runs.append([])
+            else:
+                runs[-1].append(entry)
+        return [tuple(run) for run in runs]
+
+    merged: list = []
+    for k, (gap_a, gap_b) in enumerate(zip(gaps(a), gaps(b))):
+        if k:
+            merged.append(_CORE)
+        merged.extend(_shortest_supersequence(gap_a, gap_b))
+    union = tuple(merged)
+    return None if _repeats_engine(union) else union
+
+
+class _ColumnRef:
+    """Column structure of a group, built from its stage layout.
+
+    A family column's layout may be a union no single workload has, so
+    everything but the layout (pattern, DMA actor, numeric values) is
+    per row.
     """
 
-    __slots__ = ("pattern", "n_core", "accel_names", "dma_flag", "stage_kinds")
+    __slots__ = ("layout", "n_core", "accel_names", "stage_kinds")
 
-    def __init__(self, wsig: tuple) -> None:
-        pattern_value, stages, dma_flag = wsig
-        self.pattern = ExecutionPattern(pattern_value)
+    def __init__(self, layout: tuple) -> None:
         kinds: list[tuple[str, int]] = []
         c_idx = a_idx = 0
-        for kind, _ in stages:
-            if kind == "a":
-                kinds.append(("a", a_idx))
-                a_idx += 1
-            else:
+        for entry in layout:
+            if entry == _CORE:
                 kinds.append(("c", c_idx))
                 c_idx += 1
+            else:
+                kinds.append(("a", a_idx))
+                a_idx += 1
+        self.layout = layout
         self.stage_kinds = tuple(kinds)
         self.n_core = c_idx
         self.accel_names = tuple(
-            accel for kind, accel in stages if kind == "a"
+            engine for kind, engine in layout if kind == "a"
         )
-        self.dma_flag = dma_flag
 
 
-def _embed_signature(short: tuple, long: tuple) -> Optional[list[int]]:
+class _Fit:
+    """Where one workload's stages sit in a column layout.
+
+    ``stage_cols[s]`` is the column stage of the workload's stage ``s``;
+    ``stage_of[u]`` maps column stage ``u`` back (``None``: absent in
+    this row); ``slot_src[m]`` is the workload's accelerator stage in
+    the column's accelerator slot ``m`` (``None``: absent).
+    """
+
+    __slots__ = ("stage_cols", "stage_of", "slot_src")
+
+    def __init__(self, layout: tuple, cols: list[int], union: tuple) -> None:
+        self.stage_cols = tuple(cols)
+        stage_of: list[Optional[int]] = [None] * len(union)
+        for s, u in enumerate(cols):
+            stage_of[u] = s
+        self.stage_of = tuple(stage_of)
+        accel_index = {}
+        for s, entry in enumerate(layout):
+            if entry != _CORE:
+                accel_index[s] = len(accel_index)
+        self.slot_src = tuple(
+            None if stage_of[u] is None else accel_index[stage_of[u]]
+            for u, entry in enumerate(union)
+            if entry != _CORE
+        )
+
+
+def _fit(layout: tuple, union: tuple) -> Optional[_Fit]:
+    """How ``layout`` sits in column ``union``, or ``None`` if it does not.
+
+    A layout fits when it equals the union, or when it has the union's
+    core stages, is a subsequence of it, and the union uses no engine
+    twice (so each stage's slot is unique). Memoized in the compile
+    cache.
+    """
+    cache = _COMPILE_CACHE
+    key = (layout, union)
+    if cache.enabled:
+        try:
+            return cache.fits[key]
+        except KeyError:
+            pass
+    fit: Optional[_Fit] = None
+    if layout == union or (
+        layout.count(_CORE) == union.count(_CORE)
+        and not _repeats_engine(union)
+    ):
+        cols = _embed_signature(layout, union)
+        if cols is not None:
+            fit = _Fit(layout, cols, union)
+    if cache.enabled:
+        if len(cache.fits) >= _COMPILE_CACHE_MAX_ENTRIES:
+            cache.fits.clear()
+        cache.fits[key] = fit
+    return fit
+
+
+def _embed_signature(
+    short: tuple, long: tuple, fits: bool = False
+) -> Optional[list[int]]:
     """Leftmost subsequence embedding of ``short`` into ``long``.
 
     Returns the column index each workload of a ``short``-signature
     scenario occupies in a ``long``-signature super-group, or ``None``
-    when no embedding exists. Any valid embedding preserves the scalar
-    reduction order (real columns keep their relative order; dummy
-    columns contribute exact ``+0.0`` terms), so the deterministic
+    when no embedding exists. With ``fits``, ``short`` holds a
+    scenario's stage layouts and ``long`` a family's column layouts,
+    and a workload may take any column its layout fits (:func:`_fit`);
+    otherwise items must be equal. Any valid embedding preserves the
+    scalar reduction order (real columns keep their relative order;
+    dummy columns contribute exact ``+0.0`` terms), so the deterministic
     leftmost match is as good as any. Memoized in the compile cache
-    (the result is pure in the two signatures); callers treat the
-    returned list as read-only.
+    (the result is pure in its arguments); callers treat the returned
+    list as read-only.
     """
     cache = _COMPILE_CACHE
     if cache.enabled:
-        key = (short, long)
+        key = (short, long, fits)
         try:
             return cache.embeddings[key]
         except KeyError:
             pass
     cols: Optional[list[int]] = []
     pos = 0
-    for wsig in short:
-        while pos < len(long) and long[pos] != wsig:
+    for item in short:
+        while pos < len(long) and (
+            _fit(item, long[pos]) is None if fits else long[pos] != item
+        ):
             pos += 1
         if pos == len(long):
             cols = None
@@ -417,17 +554,40 @@ def _embed_signature(short: tuple, long: tuple) -> Optional[list[int]]:
     return cols
 
 
-def _columns_for(super_sig: tuple) -> list[_ColumnRef]:
-    """Column layout of a padded family, memoized in the compile cache."""
+def _widen_into(items: tuple, columns: tuple, merge) -> Optional[tuple]:
+    """Family columns widened so a scenario's items embed, or ``None``.
+
+    Leftmost: workload ``j`` joins the first later column it can share
+    (``merge``, as in :func:`_shortest_supersequence`). Widening keeps
+    earlier members fitting: a layout that fits a column fits every
+    union of it.
+    """
+    widened = list(columns)
+    pos = 0
+    for item in items:
+        while pos < len(widened):
+            union = merge(widened[pos], item)
+            if union is not None:
+                widened[pos] = union
+                break
+            pos += 1
+        else:
+            return None
+        pos += 1
+    return tuple(widened)
+
+
+def _columns_for(layouts: tuple) -> list[_ColumnRef]:
+    """Column structure of a group, memoized in the compile cache."""
     cache = _COMPILE_CACHE
     if not cache.enabled:
-        return [_ColumnRef(wsig) for wsig in super_sig]
-    cols = cache.columns.get(super_sig)
+        return [_ColumnRef(layout) for layout in layouts]
+    cols = cache.columns.get(layouts)
     if cols is None:
         if len(cache.columns) >= _COMPILE_CACHE_MAX_ENTRIES:
             cache.columns.clear()
-        cols = [_ColumnRef(wsig) for wsig in super_sig]
-        cache.columns[super_sig] = cols
+        cols = [_ColumnRef(layout) for layout in layouts]
+        cache.columns[layouts] = cols
     return cols
 
 
@@ -453,6 +613,122 @@ def _validate(nic: "_nic.SmartNic", workloads: list[WorkloadDemand]):
     return None
 
 
+# ----------------------------------------------------------------------
+# Row-parallel kernels
+# ----------------------------------------------------------------------
+def _pipeline_rate(
+    n: int,
+    cores: np.ndarray,
+    n_core: int,
+    core_times: list[np.ndarray],
+    accel_caps: list[np.ndarray],
+) -> np.ndarray:
+    """Pipeline throughput: the slowest stage (scalar ``_compose``)."""
+    share = cores / max(1, n_core)
+    result = None
+    for t in core_times:
+        positive = t > 0.0
+        cap = np.where(positive, share / np.where(positive, t, 1.0), np.inf)
+        result = cap if result is None else np.minimum(result, cap)
+    for cap in accel_caps:
+        result = cap if result is None else np.minimum(result, cap)
+    return np.zeros(n) if result is None else result
+
+
+def _rtc_rate(
+    n: int,
+    cores: np.ndarray,
+    core_times: list[np.ndarray],
+    accel_caps: list[np.ndarray],
+) -> np.ndarray:
+    """Run-to-completion throughput: cores over the summed stage times."""
+    total_core = np.zeros(n)
+    for t in core_times:
+        total_core = total_core + t
+    accel_wait = np.zeros(n)
+    for cap in accel_caps:
+        positive = cap > 0.0
+        accel_wait = accel_wait + np.where(
+            positive, cores / np.where(positive, cap, 1.0), 0.0
+        )
+    denom = total_core + accel_wait
+    positive = denom > 0.0
+    return np.where(positive, cores / np.where(positive, denom, 1.0), np.inf)
+
+
+def _stacked_waterfill(
+    teff: list[np.ndarray],
+    nq: list[np.ndarray],
+    offered: list[np.ndarray],
+    present: list[Optional[np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every client's closed-loop capacity on one engine, in one fill.
+
+    Scalar ``capacity_for`` allocates ``[saturated target] +
+    competitors``: the target saturates its queues and is never
+    released, the other clients are open-loop at their ``offered``
+    rates. Here each client's fill is one block of a ``(client, target,
+    row)`` state, so one round advances all of them. Folds run in the
+    scalar order: ``busy`` adds the unsaturated competitors' terms and
+    ``weight`` the target's term, then the saturated competitors'; the
+    target adds an exact ``+0.0`` to ``busy`` and to its own block's
+    competitor fold, and ``np.add.accumulate`` adds along the client
+    axis one term at a time.
+
+    ``present[j]`` (``None``: every row) marks the rows where client
+    ``j`` exists. An absent client has zero demand: it adds ``+0.0``
+    everywhere and never saturates. Its own block starts done: a dummy
+    target anchors the weight fold at zero, which lets rounds oscillate
+    to the cap, and blocks are independent, so skipping it changes no
+    other block. Returns the ``(client, row)`` request rates and the
+    rows whose fill of a present client did not settle.
+    """
+    n = len(teff)
+    rows = len(teff[0])
+    if n == 1:
+        # allocate() with one closed-loop client resolves in one
+        # round: spare = 1.0, weight = t_eff * n_queues.
+        rate = nq[0] * (1.0 / (teff[0] * nq[0]))
+        return rate[None, :], np.zeros(rows, dtype=bool)
+    t_eff = np.array(teff)
+    queues = np.array(nq)
+    load = np.array(offered)
+    busy_terms = (load * t_eff)[:, None, :]
+    weight_terms = t_eff * queues
+    own = np.eye(n, dtype=bool)[:, :, None]  # own[j, t]: j is target t
+    sat = np.repeat(own, rows, axis=2)
+    done = np.zeros((n, rows), dtype=bool)
+    for j, mask in enumerate(present):
+        if mask is not None:
+            done[j] = ~mask
+    rate = np.ones((n, rows))
+    folds = np.empty((n + 1, n, rows))
+    folds[0] = weight_terms
+    load = load[:, None, :]
+    queues_b = queues[:, None, :]
+    for _ in range(_WATERFILL_ITERATIONS):
+        act = ~done
+        if not act.any():
+            break
+        busy = np.add.accumulate(np.where(sat, 0.0, busy_terms), axis=0)[-1]
+        folds[1:] = np.where(sat & ~own, weight_terms[:, None, :], 0.0)
+        weight = np.add.accumulate(folds, axis=0)[-1]
+        spare = np.maximum(0.0, 1.0 - busy)
+        per_queue = np.where(
+            weight > 0.0, spare / np.where(weight > 0.0, weight, 1.0), 0.0
+        )
+        fair = queues_b * per_queue
+        moves = act & ~sat & (load > fair + 1e-12)
+        sat |= moves
+        moved = moves.any(axis=0)
+        releases = (act & ~moved) & sat & ~own & (load < fair - 1e-12)
+        sat &= ~releases
+        final = act & ~moved & ~releases.any(axis=0)
+        rate = np.where(final, queues * per_queue, rate)
+        done |= final
+    return rate, ~done.all(axis=0)
+
+
 class _View:
     """The group's static arrays restricted to one set of rows.
 
@@ -473,11 +749,17 @@ class _View:
         self.act_haf = take(group.act_haf)
         self.act_hot = take(group.act_hot_bytes)
         self.act_cold = take(group.act_cold_bytes)
+
+        def take_mask(arr):
+            return None if arr is None else take(arr)
+
         self.wl = []
         for data in group.wl:
             self.wl.append(
                 {
                     "pattern": data["pattern"],
+                    "pipe": take_mask(data["pipe"]),
+                    "present": [take_mask(p) for p in data["present"]],
                     "n_core": data["n_core"],
                     "accel_names": data["accel_names"],
                     "dma_flag": data["dma_flag"],
@@ -507,6 +789,7 @@ class _View:
                 "teff": [take(a) for a in engine["teff"]],
                 "nq": [take(a) for a in engine["nq"]],
                 "req": [take(a) for a in engine["req"]],
+                "present": [take_mask(p) for p in engine["present"]],
             }
             for engine in group.engines
         ]
@@ -516,18 +799,35 @@ class _View:
 # Group solver
 # ----------------------------------------------------------------------
 class _Group:
-    """All scenarios sharing one structural signature, solved together.
+    """Scenarios solved together as one set of ``(rows, ...)`` arrays.
 
-    A *padded super-group* additionally merges scenarios whose signature
-    is a subsequence of the group's column structure: each scenario's
-    workloads occupy the columns of its ``embeddings`` entry, and the
-    remaining columns are masked-out dummy lanes whose rates, working
-    sets and accelerator demands are all zero. Zero lanes contribute
-    exact ``+0.0`` terms to every left-fold reduction, never turn
+    An *exact* group holds scenarios of one structural signature: every
+    column has one stage layout, pattern and DMA actor, and the solve
+    runs without per-row masks. A *padded* group additionally hosts
+    scenarios through ``embeddings``: each scenario's workloads occupy
+    the columns of its entry, in order, and the remaining columns are
+    dummy lanes whose rates, working sets and accelerator demands are
+    all zero.
+
+    A family column (``columns`` given) has a union stage layout
+    (:func:`_column_union`) that each of its workloads fits
+    (:func:`_fit`). What varies by row becomes a per-row flag or slot:
+
+    - ``pipe`` (only when the column mixes patterns) selects the
+      pipeline or run-to-completion composition;
+    - ``present[m]`` (only when some row lacks accelerator slot ``m``)
+      marks the rows whose workload has that stage, and the same mask
+      makes the workload an optional client of the slot's engine;
+    - the DMA actor exists when any row has one; the others give it
+      zero rates.
+
+    An absent slot or a dummy lane holds zero demand: it contributes
+    exact ``+0.0`` terms to every left-fold reduction, never turns
     "hungry" in the occupancy water-filling (so the pairwise ``np.sum``
-    runs over exactly the scalar solver's actor set) and never saturate
-    an accelerator water-fill, which keeps the padded solve bit-identical
-    to the scalar solver for every real lane.
+    runs over exactly the scalar solver's actor set), never saturates
+    an accelerator water-fill, and its capacity is discarded (read as
+    ``+inf``, which no min or run-to-completion sum can see). That
+    keeps every real lane bit-identical to the scalar solver.
     """
 
     def __init__(
@@ -536,7 +836,7 @@ class _Group:
         plans: list[_ScenarioPlan],
         indices: list[int],
         noises: list[list[float]],
-        columns: Optional[list[_WorkloadPlan]] = None,
+        columns: Optional[list[_ColumnRef]] = None,
         embeddings: Optional[list[list[int]]] = None,
         warm: Optional[list] = None,
     ) -> None:
@@ -552,8 +852,10 @@ class _Group:
         # fall back to the contention-free estimate).
         self._warm = warm
         self.S = len(plans)
-        self._columns = columns if columns is not None else plans[0].workloads
-        self.W = len(self._columns)
+        if columns is None:
+            columns = _columns_for(_layouts(plans[0].signature))
+        self._columns = columns
+        self.W = len(columns)
         if embeddings is None:
             embeddings = [list(range(self.W))] * self.S
         self.embeddings = embeddings
@@ -584,7 +886,24 @@ class _Group:
                 plan.workloads[col_to_wl[i][w]] if w in col_to_wl[i] else None
                 for i, plan in enumerate(plans)
             ]
+            # srcs[i][m]: row i's accelerator stage in slot m (None: the
+            # row has no workload here, or its workload lacks the stage).
+            srcs = [
+                None if p is None else _fit(p.layout, ref.layout).slot_src
+                for p in ps
+            ]
             n_accel = len(ref.accel_names)
+            patterns = {p.pattern for p in ps if p is not None}
+            pattern = (
+                patterns.pop() if len(patterns) == 1
+                else ExecutionPattern.RUN_TO_COMPLETION if not patterns
+                else None
+            )
+            present = []
+            for m in range(n_accel):
+                mask = [src is not None and src[m] is not None for src in srcs]
+                present.append(None if all(mask) else np.array(mask))
+
             # Dummy lanes get all-zero demands (mlp keeps 1.0 — it only
             # ever divides): zero rates feed zero pressure everywhere.
             def scalar(attr: str, missing: float = 0.0) -> np.ndarray:
@@ -592,7 +911,7 @@ class _Group:
                     [getattr(p, attr) if p is not None else missing for p in ps]
                 )
 
-            def per_item(attr: str, k: int, missing: float = 0.0) -> np.ndarray:
+            def per_core(attr: str, k: int, missing: float = 0.0) -> np.ndarray:
                 return self._col(
                     [
                         getattr(p, attr)[k] if p is not None else missing
@@ -600,11 +919,27 @@ class _Group:
                     ]
                 )
 
+            def per_slot(attr: str, m: int) -> np.ndarray:
+                return self._col(
+                    [
+                        0.0 if src is None or src[m] is None
+                        else getattr(p, attr)[src[m]]
+                        for p, src in zip(ps, srcs)
+                    ]
+                )
+
             data = {
-                "pattern": ref.pattern,
+                "pattern": pattern,
+                "pipe": None if pattern is not None else np.array(
+                    [
+                        p is not None and p.pattern is ExecutionPattern.PIPELINE
+                        for p in ps
+                    ]
+                ),
+                "present": present,
                 "n_core": ref.n_core,
                 "accel_names": ref.accel_names,
-                "dma_flag": ref.dma_flag,
+                "dma_flag": any(p.dma_flag for p in ps if p is not None),
                 "stage_kinds": ref.stage_kinds,
                 "cores_f": scalar("cores_f"),
                 "reads_sum": scalar("reads_sum"),
@@ -617,29 +952,23 @@ class _Group:
                 "arrival": scalar("arrival"),
                 "line_rate": scalar("line_rate"),
                 "core_cycles": [
-                    per_item("core_cycles", k) for k in range(ref.n_core)
+                    per_core("core_cycles", k) for k in range(ref.n_core)
                 ],
                 "core_rw": [
-                    per_item("core_rw", k) for k in range(ref.n_core)
+                    per_core("core_rw", k) for k in range(ref.n_core)
                 ],
                 "core_mlp": [
-                    per_item("core_mlp", k, missing=1.0)
+                    per_core("core_mlp", k, missing=1.0)
                     for k in range(ref.n_core)
                 ],
-                "accel_req": [
-                    per_item("accel_req", m) for m in range(n_accel)
-                ],
+                "accel_req": [per_slot("accel_req", m) for m in range(n_accel)],
                 "accel_teff": [
-                    per_item("accel_teff", m) for m in range(n_accel)
+                    per_slot("accel_teff", m) for m in range(n_accel)
                 ],
-                "accel_nq": [
-                    per_item("accel_nq", m) for m in range(n_accel)
-                ],
-                "accel_bpk": [
-                    per_item("accel_bpk", m) for m in range(n_accel)
-                ],
+                "accel_nq": [per_slot("accel_nq", m) for m in range(n_accel)],
+                "accel_bpk": [per_slot("accel_bpk", m) for m in range(n_accel)],
                 "accel_refs": [
-                    per_item("accel_refs", m) for m in range(n_accel)
+                    per_slot("accel_refs", m) for m in range(n_accel)
                 ],
             }
             self.wl.append(data)
@@ -680,27 +1009,27 @@ class _Group:
         """Per-engine client structure (scalar ``_accelerator_capacities``)."""
         self.engines: list[dict] = []
         for accel_name in self._nic._engines:
-            users: list[tuple[int, int]] = []
-            for w in range(self.W):
-                for m, name in enumerate(self.wl[w]["accel_names"]):
-                    if name == accel_name:
-                        users.append((w, m))
-            if not users:
-                continue
             # Clients keyed per workload; a later stage on the same
             # engine overwrites the earlier one (dict-update semantics
-            # of the scalar code), so each client uses its *last* stage.
-            last: dict[int, int] = {}
-            for w, m in users:
-                last[w] = m
-            client_ws = list(last)  # insertion order == workload order
+            # of the scalar code), so each client uses its *last* slot.
+            clients: list[int] = []
+            slots: list[int] = []
+            for w in range(self.W):
+                names = self.wl[w]["accel_names"]
+                if accel_name in names:
+                    clients.append(w)
+                    slots.append(len(names) - 1 - names[::-1].index(accel_name))
+            if not clients:
+                continue
+            pairs = list(zip(clients, slots))
             self.engines.append(
                 {
                     "name": accel_name,
-                    "clients": client_ws,
-                    "teff": [self.wl[w]["accel_teff"][last[w]] for w in client_ws],
-                    "nq": [self.wl[w]["accel_nq"][last[w]] for w in client_ws],
-                    "req": [self.wl[w]["accel_req"][last[w]] for w in client_ws],
+                    "clients": clients,
+                    "teff": [self.wl[w]["accel_teff"][m] for w, m in pairs],
+                    "nq": [self.wl[w]["accel_nq"][m] for w, m in pairs],
+                    "req": [self.wl[w]["accel_req"][m] for w, m in pairs],
+                    "present": [self.wl[w]["present"][m] for w, m in pairs],
                 }
             )
 
@@ -847,89 +1176,15 @@ class _Group:
             "dram_writes": dram_writes,
         }
 
-    def _waterfill_capacity(
-        self,
-        target_pos: int,
-        teff: list[np.ndarray],
-        nq: list[np.ndarray],
-        offered: list[np.ndarray],
-        discard: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized RR water-filling for one closed-loop target.
-
-        ``offered[target_pos]`` is ignored (the target saturates its
-        queues and is never released); other clients are open-loop with
-        per-row offered rates. Returns (target rate, failed-row mask).
-
-        ``discard`` marks rows whose result the caller throws away (the
-        target is one of their dummy lanes). They start ``done``: a
-        dummy target anchors the weight fold at zero, which lets the
-        move/release rounds oscillate to the iteration cap, and one
-        such row keeps the whole group's round loop spinning. Rows are
-        element-wise independent throughout, so skipping them leaves
-        every other row's trajectory bit-identical.
-        """
-        n = len(teff)
-        size = len(teff[target_pos])
-        if n == 1:
-            # allocate() with one closed-loop client resolves in one
-            # round: spare = 1.0, weight = t_eff * n_queues.
-            weight = teff[0] * nq[0]
-            rate = nq[0] * (1.0 / weight)
-            return rate, np.zeros(size, dtype=bool)
-        sat = [np.zeros(size, dtype=bool) for _ in range(n)]
-        sat[target_pos][:] = True
-        done = (
-            discard.copy() if discard is not None
-            else np.zeros(size, dtype=bool)
-        )
-        rate = np.ones(size)
-        for _ in range(_WATERFILL_ITERATIONS):
-            act = ~done
-            if not act.any():
-                break
-            busy = np.zeros(size)
-            for j in range(n):
-                if j == target_pos:
-                    continue
-                busy = busy + np.where(~sat[j], offered[j] * teff[j], 0.0)
-            # capacity_for() allocates [saturated_target] + competitors,
-            # so the scalar weight fold starts with the target's term;
-            # the remaining clients follow in their original order.
-            weight = teff[target_pos] * nq[target_pos]
-            for j in range(n):
-                if j == target_pos:
-                    continue
-                weight = weight + np.where(sat[j], teff[j] * nq[j], 0.0)
-            spare = np.maximum(0.0, 1.0 - busy)
-            per_queue = np.where(
-                weight > 0.0, spare / np.where(weight > 0.0, weight, 1.0), 0.0
-            )
-            moved = np.zeros(size, dtype=bool)
-            for j in range(n):
-                if j == target_pos:
-                    continue
-                mv = act & ~sat[j] & (offered[j] > nq[j] * per_queue + 1e-12)
-                sat[j] |= mv
-                moved |= mv
-            release_rows = act & ~moved
-            released = np.zeros(size, dtype=bool)
-            for j in range(n):
-                if j == target_pos:
-                    continue
-                rl = release_rows & sat[j] & (offered[j] < nq[j] * per_queue - 1e-12)
-                sat[j] &= ~rl
-                released |= rl
-            final = act & ~moved & ~released
-            if final.any():
-                rate[final] = (nq[target_pos] * per_queue)[final]
-                done |= final
-        return rate, ~done
-
     def _accel_capacities(
         self, view: _View, thr: np.ndarray
     ) -> tuple[dict[tuple[int, str], np.ndarray], np.ndarray]:
-        """Per-(workload, engine) stage capacities, plus failed rows."""
+        """Per-(workload, engine) stage capacities, plus failed rows.
+
+        An absent client's capacity reads ``+inf``: a pipeline's min
+        and a run-to-completion wait (``cores / inf == 0.0``) both skip
+        it, as the scalar solver skips a stage the workload lacks.
+        """
         capacities: dict[tuple[int, str], np.ndarray] = {}
         failed = np.zeros(view.n, dtype=bool)
         for engine in view.engines:
@@ -937,18 +1192,16 @@ class _Group:
                 thr[:, w] * engine["req"][pos]
                 for pos, w in enumerate(engine["clients"])
             ]
+            rates, fail = _stacked_waterfill(
+                engine["teff"], engine["nq"], offered, engine["present"]
+            )
+            failed |= fail
             for pos, w in enumerate(engine["clients"]):
-                cap_requests, fail = self._waterfill_capacity(
-                    pos,
-                    engine["teff"],
-                    engine["nq"],
-                    offered,
-                    discard=~view.lane[:, w] if self._padded else None,
-                )
-                # A dummy lane's water-fill result is discarded, so a
-                # non-converged fill there must not fail the row.
-                failed |= fail & view.lane[:, w] if self._padded else fail
-                capacities[(w, engine["name"])] = cap_requests / engine["req"][pos]
+                cap = rates[pos] / engine["req"][pos]
+                present = engine["present"][pos]
+                if present is not None:
+                    cap = np.where(present, cap, np.inf)
+                capacities[(w, engine["name"])] = cap
         return capacities, failed
 
     def _core_times(
@@ -970,37 +1223,15 @@ class _Group:
         accel_caps: list[np.ndarray],
     ) -> np.ndarray:
         data = view.wl[w]
-        cores = data["cores_f"]
-        if data["pattern"] is ExecutionPattern.PIPELINE:
-            n_core = max(1, data["n_core"])
-            result = None
-            for t in core_times:
-                positive = t > 0.0
-                cap = np.where(
-                    positive,
-                    (cores / n_core) / np.where(positive, t, 1.0),
-                    np.inf,
-                )
-                result = cap if result is None else np.minimum(result, cap)
-            for cap in accel_caps:
-                result = cap if result is None else np.minimum(result, cap)
-            if result is None:
-                return np.zeros(view.n)
-            return result
-        total_core = np.zeros(view.n)
-        for t in core_times:
-            total_core = total_core + t
-        accel_wait = np.zeros(view.n)
-        for cap in accel_caps:
-            positive = cap > 0.0
-            accel_wait = accel_wait + np.where(
-                positive, cores / np.where(positive, cap, 1.0), 0.0
+        pattern = data["pattern"]
+        if pattern is not ExecutionPattern.RUN_TO_COMPLETION:
+            pipeline = _pipeline_rate(
+                view.n, data["cores_f"], data["n_core"], core_times, accel_caps
             )
-        denom = total_core + accel_wait
-        positive = denom > 0.0
-        return np.where(
-            positive, cores / np.where(positive, denom, 1.0), np.inf
-        )
+            if pattern is ExecutionPattern.PIPELINE:
+                return pipeline
+        rtc = _rtc_rate(view.n, data["cores_f"], core_times, accel_caps)
+        return rtc if pattern is not None else np.where(data["pipe"], pipeline, rtc)
 
     def _estimate(self, view: _View) -> np.ndarray:
         """Vectorized :meth:`SmartNic._contention_free_estimate`."""
@@ -1025,7 +1256,11 @@ class _Group:
                 # allocate() with one closed-loop client in one round:
                 # spare = 1.0, weight = t_eff * n, rate = n * (1 / weight).
                 solo = nq * (1.0 / (teff * nq))
-                accel_caps.append(solo / data["accel_req"][m])
+                cap = solo / data["accel_req"][m]
+                present = data["present"][m]
+                if present is not None:
+                    cap = np.where(present, cap, np.inf)
+                accel_caps.append(cap)
             estimate = self._compose(view, w, core_times, accel_caps)
             estimate = np.minimum(estimate, data["arrival"])
             thr[:, w] = np.minimum(estimate, data["line_rate"])
@@ -1225,9 +1460,13 @@ class _Group:
             core_times = self._core_times(view, w, avg)
             n_core = max(1, data["n_core"])
             cores = data["cores_f"]
+            pattern = data["pattern"]
             stage_times = []
             stage_caps = []
             rtc_metric = []
+            # present_at[u]: rows whose workload has column stage u
+            # (None: every row). Only accelerator slots can be absent.
+            present_at: list[Optional[np.ndarray]] = []
             for kind, pos in data["stage_kinds"]:
                 if kind == "a":
                     cap = capacities[(w, data["accel_names"][pos])]
@@ -1235,22 +1474,56 @@ class _Group:
                     t = np.where(
                         positive, 1.0 / np.where(positive, cap, 1.0), np.inf
                     )
-                    rtc_metric.append(cores * t)
+                    metric = cores * t
+                    present = data["present"][pos]
+                    if present is not None:
+                        # An absent slot's cap is +inf (never a pipeline
+                        # minimum); it must not be a maximum either.
+                        metric = np.where(present, metric, -np.inf)
+                    rtc_metric.append(metric)
+                    present_at.append(present)
                 else:
                     t = core_times[pos]
                     positive = t > 0.0
                     safe_t = np.where(positive, t, 1.0)
-                    if data["pattern"] is ExecutionPattern.PIPELINE:
-                        cap = np.where(positive, (cores / n_core) / safe_t, np.inf)
+                    if pattern is ExecutionPattern.PIPELINE:
+                        per_packet = (cores / n_core) / safe_t
+                    elif pattern is ExecutionPattern.RUN_TO_COMPLETION:
+                        per_packet = cores / safe_t
                     else:
-                        cap = np.where(positive, cores / safe_t, np.inf)
+                        per_packet = np.where(
+                            data["pipe"],
+                            (cores / n_core) / safe_t,
+                            cores / safe_t,
+                        )
+                    cap = np.where(positive, per_packet, np.inf)
                     rtc_metric.append(t)
+                    present_at.append(None)
                 stage_times.append(t)
                 stage_caps.append(cap)
-            if data["pattern"] is ExecutionPattern.PIPELINE:
+            if pattern is ExecutionPattern.PIPELINE:
                 bottleneck_idx = np.argmin(np.column_stack(stage_caps), axis=1)
-            else:
+            elif pattern is ExecutionPattern.RUN_TO_COMPLETION:
                 bottleneck_idx = np.argmax(np.column_stack(rtc_metric), axis=1)
+            else:
+                bottleneck_idx = np.where(
+                    data["pipe"],
+                    np.argmin(np.column_stack(stage_caps), axis=1),
+                    np.argmax(np.column_stack(rtc_metric), axis=1),
+                )
+            if any(mask is not None for mask in present_at):
+                # An absent stage wins only a tie at +inf capacity; the
+                # scalar min then picks the first stage the row has.
+                has = np.column_stack(
+                    [
+                        np.ones(view.n, dtype=bool) if mask is None else mask
+                        for mask in present_at
+                    ]
+                )
+                chosen = has[np.arange(view.n), bottleneck_idx]
+                bottleneck_idx = np.where(
+                    chosen, bottleneck_idx, np.argmax(has, axis=1)
+                )
 
             # Table 11 counters.
             rate = thr[:, w]
@@ -1303,10 +1576,12 @@ class _Group:
             workload_results = {}
             for j, wplan in enumerate(plan.workloads):
                 w = self.embeddings[scenario_row][j]
+                fit = _fit(wplan.layout, self._columns[w].layout)
                 values = per_wl[w]
                 stages = []
-                for s_idx, (kind, pos) in enumerate(wplan.stage_kinds):
+                for s_idx, (kind, _) in enumerate(wplan.stage_kinds):
                     stage = wplan.demand.stages[s_idx]
+                    u = fit.stage_cols[s_idx]
                     stages.append(
                         _nic.StageReport(
                             name=stage.name,
@@ -1314,8 +1589,8 @@ class _Group:
                             accelerator=(
                                 stage.accelerator if kind == "a" else None
                             ),
-                            time_pp_us=float(values["stage_times"][s_idx][row]),
-                            capacity_mpps=float(values["stage_caps"][s_idx][row]),
+                            time_pp_us=float(values["stage_times"][u][row]),
+                            capacity_mpps=float(values["stage_caps"][u][row]),
                         )
                     )
                 counters = PerfCounters(
@@ -1335,7 +1610,7 @@ class _Group:
                     counters=counters,
                     stages=tuple(stages),
                     bottleneck=wplan.stage_labels[
-                        int(values["bottleneck_idx"][row])
+                        fit.stage_of[int(values["bottleneck_idx"][row])]
                     ],
                     miss_ratio=float(values["miss"][row]),
                     llc_occupancy_bytes=float(values["occupancy"][row]),
@@ -1368,37 +1643,53 @@ _SCALAR_FALLBACK_GROUP_SIZE = 3
 #: the dummy lanes start eating the win.
 _PAD_MAX_WIDTH = 8
 
+#: Most small-group rows a call merges into column-compatible families.
+#: Above it, families need identical workload signatures per column
+#: (the merge before column-compatible families). A fleet-scale call
+#: of hundreds of structurally distinct mixes (the 1,000-NIC Pensando
+#: fleet of ``benchmarks/test_perf_incremental.py``) would vectorize
+#: too, but then its cold solves cost about what its warm-started
+#: ones do, and that gate's warm-start floor (1.5x) reads 0.94-1.01x.
+#: Lift this once that gate is re-based on the vectorized cold path.
+_MIXED_FAMILY_MAX_ROWS = 64
+
 
 def _merge_small_groups(
     small: list[tuple[tuple, list[_ScenarioPlan], list[int]]],
+    mixed: bool = True,
 ) -> tuple[list, list]:
-    """Merge small signature groups into padded super-group families.
+    """Merge small signature groups into padded families.
 
-    Greedy and deterministic: signatures are visited longest first (ties
-    broken by repr). Each joins the first family whose super-signature
-    already contains it as a subsequence; otherwise the first family
-    whose super-signature can *grow* (shortest common supersequence)
-    within :data:`_PAD_MAX_WIDTH` absorbs it; otherwise it roots a new
-    family. Growth keeps every earlier member embeddable (a subsequence
-    of the old root is a subsequence of any supersequence of it).
-    Families that gather at least :data:`_SCALAR_FALLBACK_GROUP_SIZE`
-    scenarios across two or more signatures solve as one padded
-    vectorized group; everything else stays on the scalar path.
+    With ``mixed``, a family's columns are stage layouts, and a scenario
+    joins when its workloads fit the columns in order
+    (:func:`_column_union` may widen a column to host a new layout).
+    Otherwise its columns are workload signatures, and a scenario joins
+    when its signature is a subsequence of them. Greedy and deterministic:
+    signatures are visited longest first (ties broken by repr). Each
+    joins the first family it fits; otherwise the first family whose
+    columns can *grow* (shortest common supersequence, sharing columns
+    where layouts unite) within :data:`_PAD_MAX_WIDTH` absorbs it;
+    otherwise it roots a new family. Widening and growth keep every
+    earlier member fitting (a layout that fits a column fits every
+    union of it). Families that gather at least
+    :data:`_SCALAR_FALLBACK_GROUP_SIZE` scenarios across two or more
+    signatures solve as one padded vectorized group; everything else
+    stays on the scalar path.
 
-    Returns ``(merged, leftovers)``: ``merged`` holds
-    ``(columns_sig, members)`` where each member is ``(sig, plans,
-    indices)``, ``leftovers`` holds ``(plan, index)`` pairs.
+    Returns ``(merged, leftovers)``: ``merged`` holds ``(columns,
+    members)`` where each member is ``(sig, plans, indices)``,
+    ``leftovers`` holds ``(plan, index)`` pairs.
 
     The family *structure* (which signatures form which families, and
-    each family's super-signature) depends only on the multiset of
-    (signature, group size) pairs — the greedy visit order is a total
-    order over the distinct signatures, independent of input order —
-    so it is memoized in the compile cache and replayed against the
-    call's own plans/indices on a hit.
+    each family's columns) depends only on the multiset of (signature,
+    group size) pairs — the greedy visit order is a total order over
+    the distinct signatures, independent of input order — so it is
+    memoized in the compile cache and replayed against the call's own
+    plans/indices on a hit.
     """
     by_sig = {sig: (plans, indices) for sig, plans, indices in small}
     cache = _COMPILE_CACHE
-    key = tuple(
+    key = (mixed,) + tuple(
         sorted(
             ((sig, len(plans)) for sig, plans, _ in small),
             key=lambda entry: repr(entry[0]),
@@ -1406,25 +1697,26 @@ def _merge_small_groups(
     )
     cached = cache.families.get(key) if cache.enabled else None
     if cached is None:
+        merge = _column_union if mixed else _same
         order = sorted(small, key=lambda entry: (-len(entry[0]), repr(entry[0])))
         families: list[dict] = []
-        for sig, plans, indices in order:
-            placed = False
+        for sig, _, _ in order:
+            columns = _layouts(sig) if mixed else sig
             for family in families:
-                if _embed_signature(sig, family["sig"]) is not None:
+                joined = _widen_into(columns, family["sig"], merge)
+                if joined is not None:
+                    family["sig"] = joined
                     family["members"].append(sig)
-                    placed = True
                     break
-            if not placed:
+            else:
                 for family in families:
-                    grown = _shortest_supersequence(family["sig"], sig)
+                    grown = _shortest_supersequence(family["sig"], columns, merge)
                     if len(grown) <= _PAD_MAX_WIDTH:
                         family["sig"] = grown
                         family["members"].append(sig)
-                        placed = True
                         break
-            if not placed:
-                families.append({"sig": sig, "members": [sig]})
+                else:
+                    families.append({"sig": columns, "members": [sig]})
 
         merged_sigs: list[tuple[tuple, tuple]] = []
         leftover_sigs: list[tuple] = []
@@ -1582,8 +1874,9 @@ def solve_batch(
             )
         solves.append((all_plans, all_indices, None, all_embeds))
 
+    mixed = sum(len(plans) for _, plans, _ in small) <= _MIXED_FAMILY_MAX_ROWS
     if pad_small_groups and len(small) > 1:
-        merged, leftovers = _merge_small_groups(small)
+        merged, leftovers = _merge_small_groups(small, mixed)
     else:
         merged = []
         leftovers = [
@@ -1596,7 +1889,10 @@ def solve_batch(
         all_indices = []
         all_embeds = []
         for sig, plans, indices in members:
-            cols = _embed_signature(sig, super_sig)
+            cols = (
+                _embed_signature(_layouts(sig), super_sig, fits=True) if mixed
+                else _embed_signature(sig, super_sig)
+            )
             all_plans.extend(plans)
             all_indices.extend(indices)
             all_embeds.extend([cols] * len(plans))
@@ -1609,9 +1905,8 @@ def solve_batch(
                     for sig, plans, _ in members
                 ),
             )
-        solves.append(
-            (all_plans, all_indices, _columns_for(super_sig), all_embeds)
-        )
+        columns = _columns_for(super_sig if mixed else _layouts(super_sig))
+        solves.append((all_plans, all_indices, columns, all_embeds))
 
     noises = iter(
         nic._noise_factors(

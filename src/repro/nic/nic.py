@@ -257,15 +257,6 @@ class SmartNic:
             self, scenarios, on_error=on_error, warm_starts=warm_starts
         )
 
-    def run_fast(self, workloads: list[WorkloadDemand]) -> RunResult:
-        """Single co-location run through the compiled batch path.
-
-        Bit-identical to :meth:`run`; profitable when the scenario
-        converges slowly (the vectorized iteration does constant
-        Python work per sweep regardless of workload count).
-        """
-        return self.run_batch([workloads], on_error="raise")[0]
-
     # ------------------------------------------------------------------
     # Fixed-point machinery
     # ------------------------------------------------------------------

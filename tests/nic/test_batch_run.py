@@ -14,13 +14,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PlacementError, SimulationError
 from repro.nf.catalog import EVALUATION_NF_NAMES, make_nf
 from repro.nf.synthetic import nf1, nf2
+from repro.nic.accelerator import AcceleratorClient, AcceleratorEngine
+from repro.nic.batch import _ScenarioPlan, _stacked_waterfill
 from repro.nic.nic import SmartNic
 from repro.nic.spec import bluefield2_spec, get_spec, pensando_spec
 from repro.nic.workload import ExecutionPattern
+from repro.obs import TraceRecorder, use_recorder
 from repro.profiling.contention import ContentionLevel, random_contention
 from repro.rng import derive_seed, make_rng
 from repro.traffic.profile import TrafficProfile
@@ -197,13 +202,6 @@ class TestRunBatchEquivalence:
         for i in range(len(scenarios)):
             assert_identical(whole[i], singletons[i], f"singleton {i}")
             assert_identical(whole[i], halves[i], f"half {i}")
-
-    def test_run_fast_matches_run(self):
-        nic = SmartNic(bluefield2_spec(), seed=123)
-        scenario = [make_nf("nids").demand(TrafficProfile())] + ContentionLevel(
-            mem_car=120.0
-        ).benches(6)
-        assert_identical(nic.run(scenario), nic.run_fast(scenario))
 
     def test_open_loop_arrival_rates(self):
         """Open-loop workloads (finite arrival rate) stay bit-identical."""
@@ -420,6 +418,21 @@ class TestPaddedSuperGroups:
         for i in range(len(scenarios)):
             assert_identical(scalar[i], padded[i], f"scenario {i}")
 
+    def test_identical_signature_families_above_the_row_cap(self, monkeypatch):
+        """Calls with more small-group rows than the cap merge by
+        identical workload signature, and stay bit-exact too."""
+        from repro.nic import batch
+
+        monkeypatch.setattr(batch, "_MIXED_FAMILY_MAX_ROWS", 0)
+        nic = SmartNic(bluefield2_spec(), seed=123)
+        scenarios = self._scenarios(make_rng(31))
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            batched = nic.run_batch(scenarios)
+        assert recorder.exec_counters["batch.padded_lanes"] > 0
+        for i, scenario in enumerate(scenarios):
+            assert_identical(nic.run(scenario), batched[i], f"exact {i}")
+
     def test_padding_engages_on_this_workload(self):
         """The merge must actually form padded families here (the
         equivalence above would pass vacuously on the scalar path)."""
@@ -483,3 +496,160 @@ class TestPaddedSuperGroups:
         batch = nic.run_batch(scenarios)
         for i, scenario in enumerate(scenarios):
             assert_identical(nic.run(scenario), batch[i], f"straggler {i}")
+
+
+#: Catalog NFs by structure: run-to-completion and pipeline, each with
+#: and without a regex stage. ``ipcomp`` (regex + compression) exists
+#: only on BlueField-2.
+_HETERO_NFS = {
+    "bluefield2": ("flowstats", "nat", "nids", "packetfilter",
+                   "flowclassifier", "iptunnel", "flowmonitor", "ipcomp"),
+    "pensando": ("flowstats", "nat", "nids", "packetfilter",
+                 "flowclassifier", "iptunnel", "flowmonitor"),
+}
+_HETERO_TRAFFIC = (
+    TrafficProfile(20_000, 1500, 600.0),
+    TrafficProfile(90_000, 512, 300.0),
+    TrafficProfile(250_000, 64, 900.0),
+)
+
+
+@st.composite
+def _hetero_calls(draw):
+    """One ``run_batch`` call of same-width leftovers on one target."""
+    target = draw(st.sampled_from(sorted(_HETERO_NFS)))
+    nic = SmartNic(get_spec(target), seed=draw(st.integers(0, 2**16)))
+    pool = _HETERO_NFS[target]
+    scenarios = []
+    for width in draw(
+        st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True)
+    ):
+        # Two cores per NF fit 4 residents on BlueField-2; wider mixes
+        # run one core each, as a packed fleet NIC would.
+        cores = 1 if 2 * width > nic.spec.num_cores else None
+        for _ in range(draw(st.integers(3, 5))):
+            names = draw(st.lists(st.sampled_from(pool), min_size=width,
+                                  max_size=width))
+            mix = []
+            for j, name in enumerate(names):
+                demand = make_nf(name).demand(
+                    draw(st.sampled_from(_HETERO_TRAFFIC)),
+                    instance=f"{name}#{j}",
+                )
+                mix.append(demand if cores is None else replace(demand, cores=1))
+            scenarios.append(mix)
+    warms = [
+        draw(
+            st.one_of(
+                st.none(),
+                st.fixed_dictionaries(
+                    {},
+                    optional={
+                        w.name: st.floats(0.01, 5.0) for w in scenario
+                    },
+                ),
+            )
+        )
+        for scenario in scenarios
+    ]
+    return nic, scenarios, warms
+
+
+class TestHeterogeneousFamilies:
+    """Structurally mixed leftovers share column-compatible families."""
+
+    @given(call=_hetero_calls())
+    @settings(max_examples=20, deadline=None)
+    def test_families_match_looped_run(self, call):
+        nic, scenarios, warms = call
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            batch = nic.run_batch(scenarios, warm_starts=warms)
+        for i, (scenario, warm) in enumerate(zip(scenarios, warms)):
+            assert_identical(
+                nic.run(scenario, initial=warm or None), batch[i], f"mix {i}"
+            )
+        # Three or more same-width leftovers never fall back to the
+        # scalar solver (a signature drawn three times is an exact
+        # group instead, which may adopt some of the others).
+        signatures = [_ScenarioPlan(nic, s).signature for s in scenarios]
+        if all(signatures.count(sig) < 3 for sig in signatures):
+            assert recorder.exec_counters.get("batch.scalar_scenarios", 0) == 0
+
+    def test_mixed_columns_engage(self):
+        """Eight-wide Pensando leftovers of three layouts, one per
+        signature, solve as one family with no scalar fallback."""
+        nic = SmartNic(pensando_spec(), seed=5)
+        rng = make_rng(3)
+        pool = ("flowstats", "nids", "flowmonitor")
+        scenarios = [
+            [
+                make_nf(str(name)).demand(
+                    _HETERO_TRAFFIC[int(rng.integers(0, 3))],
+                    instance=f"{name}#{j}",
+                )
+                for j, name in enumerate(rng.choice(pool, size=8))
+            ]
+            for _ in range(6)
+        ]
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            batch = nic.run_batch(scenarios)
+        assert "batch.scalar_scenarios" not in recorder.exec_counters
+        sizes = recorder.exec_histograms["batch.group_size"]
+        assert (sizes["count"], sizes["max"]) == (1, 6.0)  # one family
+        for i, scenario in enumerate(scenarios):
+            assert_identical(nic.run(scenario), batch[i], f"mix {i}")
+
+
+class TestStackedWaterfill:
+    """One stacked fill per engine == scalar ``capacity_for`` per client."""
+
+    @staticmethod
+    def _scalar(engine, teff, nq, offered, present, row):
+        clients = [
+            AcceleratorClient(
+                name=f"c{j}",
+                n_queues=int(nq[j][row]),
+                request_time_us=teff[j][row] - engine.spec.queue_switch_us,
+                offered_rate=float(offered[j][row]),
+            )
+            for j in range(len(teff))
+            if present[j] is None or present[j][row]
+        ]
+        rates = {}
+        for client in clients:
+            others = [c for c in clients if c is not client]
+            try:
+                rates[client.name] = engine.capacity_for(client, others)
+            except SimulationError:
+                rates[client.name] = None
+        return rates
+
+    @pytest.mark.parametrize("n_clients", [1, 2, 3, 8, 10])
+    @pytest.mark.parametrize("absent", [False, True])
+    def test_matches_capacity_for(self, n_clients, absent):
+        engine = AcceleratorEngine(bluefield2_spec().accelerator("regex"))
+        rng = make_rng(n_clients * 2 + absent)
+        rows = 40
+        request = rng.uniform(0.05, 2.0, size=(n_clients, rows))
+        teff = [r + engine.spec.queue_switch_us for r in request]
+        nq = [rng.integers(1, 5, size=rows).astype(float) for _ in teff]
+        offered = [rng.uniform(0.0, 3.0, size=rows) for _ in teff]
+        present = [None] * n_clients
+        if absent:
+            # Absent clients carry the zero demand of a dummy slot.
+            for j in range(0, n_clients, 2):
+                mask = rng.random(rows) < 0.6
+                present[j] = mask
+                for arr in (teff, nq, offered):
+                    arr[j] = np.where(mask, arr[j], 0.0)
+        with np.errstate(all="ignore"):
+            rates, failed = _stacked_waterfill(teff, nq, offered, present)
+        for row in range(rows):
+            expected = self._scalar(engine, teff, nq, offered, present, row)
+            assert failed[row] == (None in expected.values()), row
+            for j in range(n_clients):
+                name = f"c{j}"
+                if name in expected and expected[name] is not None:
+                    assert rates[j][row] == expected[name], (row, j)

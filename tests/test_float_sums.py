@@ -6,13 +6,16 @@ and the batch solver's sequential NumPy adds agree only under the
 latter, so the program sums floats with :func:`repro.numeric.left_sum`.
 These tests install a pure-Python model of 3.12's ``sum`` as the
 builtin and check that the batch-vs-scalar parity and the fleet byte
-pins still hold.
+pins still hold, and a lint keeps new builtin ``sum`` calls out of
+``src/`` unless they are listed as int-only.
 """
 
 from __future__ import annotations
 
+import ast
 import builtins
 import math
+from pathlib import Path
 
 import pytest
 
@@ -110,3 +113,95 @@ def test_batch_matches_scalar_under_compensated_sum(compensated_builtin_sum):
 def test_golden_digest_under_compensated_sum(compensated_builtin_sum, name):
     overrides, digest, _ = CASES[name]
     assert _digest(_report(overrides)) == digest
+
+
+#: Builtin ``sum`` calls in ``src/`` that add only ints (core counts,
+#: row counts, tallies), as (path under ``src/``, enclosing function).
+#: Any other builtin ``sum`` fails the lint below.
+INT_ONLY_SUMS = frozenset(
+    {
+        ("repro/core/predictor.py", "YalaPredictor.predict_many"),
+        ("repro/core/predictor.py",
+         "YalaSystem.predict_colocation_batch_with_solos"),
+        ("repro/fleet/engine.py", "FleetReport.violation_rate_pct"),
+        ("repro/fleet/engine.py", "FleetReport.total_migrations"),
+        ("repro/fleet/engine.py", "_score_cluster"),
+        ("repro/fleet/engine.py", "_pool_rows"),
+        ("repro/fleet/engine.py", "EventReport.probes"),
+        ("repro/fleet/engine.py", "EventEngine._observe"),
+        ("repro/fleet/runtime.py", "PodScoreTask.scenario_count"),
+        ("repro/fleet/runtime.py", "ProcessRuntime.score_pods"),
+        ("repro/fleet/topology.py", "Topology.cross_pod_migrations"),
+        ("repro/nic/batch.py", "_validate"),
+        ("repro/nic/batch.py", "_merge_small_groups"),
+        ("repro/nic/batch.py", "solve_batch"),
+        ("repro/nic/nic.py", "SmartNic.run"),
+        ("repro/profiling/collector.py", "ProfilingCollector.co_run_with"),
+        ("repro/profiling/collector.py", "ProfilingCollector.co_run_many"),
+        ("repro/traffic/payload.py", "measure_mtbr"),
+        ("repro/traffic/rules.py", "RuleSet.total_matches"),
+        ("repro/usecases/scheduling.py", "Scheduler.place"),
+    }
+)
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def builtin_sum_calls(source: str) -> list[tuple[str, int]]:
+    """``(enclosing qualified name, line)`` of every ``sum(...)`` call."""
+    calls: list[tuple[str, int]] = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                inner = scope + (child.name,)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "sum"
+            ):
+                calls.append((".".join(scope) or "<module>", child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return calls
+
+
+def unlisted_sums(files: dict[str, str]) -> list[str]:
+    """Builtin ``sum`` calls of ``{path: source}`` not on the allowlist."""
+    return [
+        f"{path}:{line} in {scope}"
+        for path, source in sorted(files.items())
+        for scope, line in builtin_sum_calls(source)
+        if (path, scope) not in INT_ONLY_SUMS
+    ]
+
+
+def test_src_has_no_unlisted_builtin_sum():
+    files = {
+        path.relative_to(_SRC).as_posix(): path.read_text()
+        for path in sorted(_SRC.rglob("*.py"))
+    }
+    unlisted = unlisted_sums(files)
+    assert not unlisted, (
+        "builtin sum() over floats is Python-version dependent; add floats "
+        "with repro.numeric.left_sum, or list an int-only sum in "
+        "INT_ONLY_SUMS: " + ", ".join(unlisted)
+    )
+
+
+def test_lint_flags_a_float_sum():
+    source = (
+        "class SmartNic:\n"
+        "    def run(self, workloads):\n"
+        "        return sum(w.cores for w in workloads)\n"
+        "    def load(self, rates):\n"
+        "        return sum(rate * 0.5 for rate in rates)\n"
+    )
+    assert builtin_sum_calls(source) == [("SmartNic.run", 3), ("SmartNic.load", 5)]
+    assert unlisted_sums({"repro/nic/nic.py": source}) == [
+        "repro/nic/nic.py:5 in SmartNic.load"
+    ]
