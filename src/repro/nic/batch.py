@@ -554,29 +554,6 @@ def _embed_signature(
     return cols
 
 
-def _widen_into(items: tuple, columns: tuple, merge) -> Optional[tuple]:
-    """Family columns widened so a scenario's items embed, or ``None``.
-
-    Leftmost: workload ``j`` joins the first later column it can share
-    (``merge``, as in :func:`_shortest_supersequence`). Widening keeps
-    earlier members fitting: a layout that fits a column fits every
-    union of it.
-    """
-    widened = list(columns)
-    pos = 0
-    for item in items:
-        while pos < len(widened):
-            union = merge(widened[pos], item)
-            if union is not None:
-                widened[pos] = union
-                break
-            pos += 1
-        else:
-            return None
-        pos += 1
-    return tuple(widened)
-
-
 def _columns_for(layouts: tuple) -> list[_ColumnRef]:
     """Column structure of a group, memoized in the compile cache."""
     cache = _COMPILE_CACHE
@@ -1314,7 +1291,8 @@ class _Group:
             # provided name, the guess (clamped like any iterate)
             # replaces the contention-free estimate before iteration 1,
             # and the row starts undamped with the short warm stall
-            # window (see _nic._WARM_DAMPING / _nic._WARM_STALL_WINDOW).
+            # window (see _nic._WARM_DAMPING / _nic._WARM_STALL_WINDOW)
+            # until sweep _nic._WARM_SWEEPS.
             for i, values in enumerate(self._warm):
                 if values is None:
                     continue
@@ -1375,6 +1353,11 @@ class _Group:
                     frozen |= done
                 if frozen.all():
                     break
+                if it == _nic._WARM_SWEEPS:
+                    # Seeded rows join the cold schedule (a no-op for
+                    # cold rows; see _nic._WARM_SWEEPS).
+                    damping = np.minimum(damping, _nic._DAMPING)
+                    window[:] = _nic._STALL_WINDOW
                 # Compact as soon as an eighth of the slots have frozen
                 # (compaction is bit-invisible: rows never interact, so
                 # dropping frozen slots only shrinks the arrays the
@@ -1645,12 +1628,17 @@ _PAD_MAX_WIDTH = 8
 
 #: Most small-group rows a call merges into column-compatible families.
 #: Above it, families need identical workload signatures per column
-#: (the merge before column-compatible families). A fleet-scale call
-#: of hundreds of structurally distinct mixes (the 1,000-NIC Pensando
-#: fleet of ``benchmarks/test_perf_incremental.py``) would vectorize
-#: too, but then its cold solves cost about what its warm-started
-#: ones do, and that gate's warm-start floor (1.5x) reads 0.94-1.01x.
-#: Lift this once that gate is re-based on the vectorized cold path.
+#: (the merge before column-compatible families). No perfbench
+#: workload comes near it (at most 38 rows per call). A fleet-scale
+#: call of hundreds of structurally distinct mixes (the 1,000-NIC
+#: Pensando fleet of ``benchmarks/test_perf_incremental.py``) would
+#: vectorize too, which speeds up both of that gate's arms, but its
+#: cold solves then cost little more than its warm-started ones, and
+#: the work both arms share dominates: the gate's warm-start floor
+#: (1.5x) read 1.13-1.37x even with warm stragglers bounded by
+#: ``_nic._WARM_SWEEPS``. Delete this, and the identical-signature
+#: merge with it, once that gate is re-based on the vectorized cold
+#: path.
 _MIXED_FAMILY_MAX_ROWS = 64
 
 
@@ -1664,14 +1652,16 @@ def _merge_small_groups(
     joins when its workloads fit the columns in order
     (:func:`_column_union` may widen a column to host a new layout).
     Otherwise its columns are workload signatures, and a scenario joins
-    when its signature is a subsequence of them. Greedy and deterministic:
-    signatures are visited longest first (ties broken by repr). Each
-    joins the first family it fits; otherwise the first family whose
-    columns can *grow* (shortest common supersequence, sharing columns
-    where layouts unite) within :data:`_PAD_MAX_WIDTH` absorbs it;
-    otherwise it roots a new family. Widening and growth keep every
-    earlier member fitting (a layout that fits a column fits every
-    union of it). Families that gather at least
+    when its signature is a subsequence of them. Greedy and
+    deterministic: signatures are visited longest first (ties broken by
+    repr). Each joins the first family whose shortest common
+    supersequence with it (columns shared where ``merge`` allows) is no
+    wider than the family, so the family at most widens columns;
+    otherwise the first family that can *grow* to that supersequence
+    within :data:`_PAD_MAX_WIDTH` absorbs it; otherwise it roots a new
+    family. Widening and growth keep every earlier member fitting (a
+    layout that fits a column fits every union of it). Families that
+    gather at least
     :data:`_SCALAR_FALLBACK_GROUP_SIZE` scenarios across two or more
     signatures solve as one padded vectorized group; everything else
     stays on the scalar path.
@@ -1702,17 +1692,18 @@ def _merge_small_groups(
         families: list[dict] = []
         for sig, _, _ in order:
             columns = _layouts(sig) if mixed else sig
+            unions = []
             for family in families:
-                joined = _widen_into(columns, family["sig"], merge)
-                if joined is not None:
-                    family["sig"] = joined
+                union = _shortest_supersequence(family["sig"], columns, merge)
+                if len(union) == len(family["sig"]):
+                    family["sig"] = union
                     family["members"].append(sig)
                     break
+                unions.append(union)
             else:
-                for family in families:
-                    grown = _shortest_supersequence(family["sig"], columns, merge)
-                    if len(grown) <= _PAD_MAX_WIDTH:
-                        family["sig"] = grown
+                for family, union in zip(families, unions):
+                    if len(union) <= _PAD_MAX_WIDTH:
+                        family["sig"] = union
                         family["members"].append(sig)
                         break
                 else:
@@ -1832,8 +1823,10 @@ def solve_batch(
             small, key=lambda entry: (-len(entry[0]), repr(entry[0]))
         ):
             for k in big_order:
+                # Equal lengths embed only if equal, and a small
+                # group's signature is never a big group's.
                 if (
-                    len(sig) <= len(big[k][0])
+                    len(sig) < len(big[k][0])
                     and _embed_signature(sig, big[k][0]) is not None
                 ):
                     adopted.setdefault(k, []).append((sig, plans, indices))

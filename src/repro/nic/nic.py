@@ -58,6 +58,15 @@ _STALL_WINDOW = 15
 #: undamped start quickly — the tail rows of a warm batch otherwise
 #: dominate the whole group's solve time.
 _WARM_STALL_WINDOW = 5
+#: Sweeps a seeded solve may spend on the warm schedule. Full steps can
+#: also converge *slowly* without ever stalling: a period-2 mode whose
+#: undamped factor is near -1 (NFs trading one accelerator) shrinks the
+#: residual by under 1% a sweep, so one seed took 1,802 sweeps where
+#: its cold solve took 41. A seed still unconverged after this many
+#: sweeps continues on the cold schedule (``_DAMPING``, or less if the
+#: warm stalls already halved it, and ``_STALL_WINDOW``), which damps
+#: such a mode in a few sweeps. For cold solves the switch is a no-op.
+_WARM_SWEEPS = 20
 _REL_TOLERANCE = 1e-8
 _ACCEPT_RESIDUAL = 1e-4
 #: Resident buffer footprint of an accelerator DMA ring.
@@ -184,7 +193,8 @@ class SmartNic:
         # Damping shrinks whenever the residual stalls: steep DRAM
         # congestion feedback can induce period-2 cycles at fixed
         # damping, which a decreasing schedule always breaks. Seeded
-        # solves start undamped (see _WARM_DAMPING).
+        # solves start undamped (see _WARM_DAMPING) and join the cold
+        # schedule after _WARM_SWEEPS sweeps.
         damping = _WARM_DAMPING if seeded else _DAMPING
         window = _WARM_STALL_WINDOW if seeded else _STALL_WINDOW
         best_residual = np.inf
@@ -209,6 +219,9 @@ class SmartNic:
                 )
             if residual < _REL_TOLERANCE:
                 break
+            if iterations == _WARM_SWEEPS:
+                damping = min(damping, _DAMPING)
+                window = _STALL_WINDOW
         else:
             if residual > _ACCEPT_RESIDUAL:
                 raise ConvergenceError(

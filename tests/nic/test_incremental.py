@@ -88,6 +88,40 @@ class TestWarmStartedRun:
             b = warm.throughput_of(w.name)
             assert abs(a - b) / a < 1e-6, w.name
 
+    def test_slowly_contracting_seed_joins_the_cold_schedule(self):
+        """Four NIDS on Pensando's regex engine make a period-2 mode
+        that full steps shrink by under 1% a sweep. Seeded from the
+        neighbouring fixed point, the solve used to take 507 sweeps
+        against a cold solve's 23; after ``_WARM_SWEEPS`` undamped
+        sweeps it continues on the cold schedule instead."""
+        names = ("nids", "nat", "nids", "acl", "nids", "nat", "nat", "nids")
+        nic = SmartNic(pensando_spec(), seed=3, noise_std=0.0)
+        base = TrafficProfile(60_000, 1024, 300.0)
+        drift = TrafficProfile(63_000, 1024, 300.0)
+        before = [
+            make_nf(n).demand(base, instance=f"{n}#{j}")
+            for j, n in enumerate(names)
+        ]
+        after = [
+            make_nf(n).demand(drift if j == 5 else base, instance=f"{n}#{j}")
+            for j, n in enumerate(names)
+        ]
+        solved = nic.run(before)
+        seed = {w.name: solved[w.name].true_throughput_mpps for w in before}
+        cold = nic.run(after)
+        warm = nic.run(after, initial=seed)
+        assert warm.iterations < 2 * cold.iterations
+        for w in after:
+            a = cold.throughput_of(w.name)
+            b = warm.throughput_of(w.name)
+            assert abs(a - b) / a < 1e-6, w.name
+        warms = [seed, None, seed]
+        batch = nic.run_batch([after] * 3, warm_starts=warms)
+        for i, warm_start in enumerate(warms):
+            assert_identical(
+                nic.run(after, initial=warm_start), batch[i], f"row {i}"
+            )
+
     def test_partial_seed_allowed(self):
         nic, scenario = _mix()
         cold = nic.run(scenario)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import builtins
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -116,40 +117,89 @@ def test_golden_digest_under_compensated_sum(compensated_builtin_sum, name):
 
 
 #: Builtin ``sum`` calls in ``src/`` that add only ints (core counts,
-#: row counts, tallies), as (path under ``src/``, enclosing function).
-#: Any other builtin ``sum`` fails the lint below.
-INT_ONLY_SUMS = frozenset(
-    {
-        ("repro/core/predictor.py", "YalaPredictor.predict_many"),
-        ("repro/core/predictor.py",
-         "YalaSystem.predict_colocation_batch_with_solos"),
-        ("repro/fleet/engine.py", "FleetReport.violation_rate_pct"),
-        ("repro/fleet/engine.py", "FleetReport.total_migrations"),
-        ("repro/fleet/engine.py", "_score_cluster"),
-        ("repro/fleet/engine.py", "_pool_rows"),
-        ("repro/fleet/engine.py", "EventReport.probes"),
-        ("repro/fleet/engine.py", "EventEngine._observe"),
-        ("repro/fleet/runtime.py", "PodScoreTask.scenario_count"),
-        ("repro/fleet/runtime.py", "ProcessRuntime.score_pods"),
-        ("repro/fleet/topology.py", "Topology.cross_pod_migrations"),
-        ("repro/nic/batch.py", "_validate"),
-        ("repro/nic/batch.py", "_merge_small_groups"),
-        ("repro/nic/batch.py", "solve_batch"),
-        ("repro/nic/nic.py", "SmartNic.run"),
-        ("repro/profiling/collector.py", "ProfilingCollector.co_run_with"),
-        ("repro/profiling/collector.py", "ProfilingCollector.co_run_many"),
-        ("repro/traffic/payload.py", "measure_mtbr"),
-        ("repro/traffic/rules.py", "RuleSet.total_matches"),
-        ("repro/usecases/scheduling.py", "Scheduler.place"),
-    }
-)
+#: row counts, tallies): (path under ``src/``, enclosing function) ->
+#: the arguments of each call there, as ``ast.unparse`` writes them.
+#: Any other builtin ``sum``, including a new one inside a listed
+#: function, fails the lint below.
+INT_ONLY_SUMS = {
+    ("repro/core/predictor.py", "YalaPredictor.predict_many"): (
+        "(spec.contention.actor_count if spec.kind == 'bench' else 1 "
+        "for spec in competitors)",
+    ),
+    ("repro/core/predictor.py",
+     "YalaSystem.predict_colocation_batch_with_solos"): (
+        "(spec.contention.actor_count if spec.kind == 'bench' else 1 "
+        "for spec in competitors)",
+    ),
+    ("repro/fleet/engine.py", "FleetReport.violation_rate_pct"): (
+        "(m.services for m in self.metrics)",
+        "(m.sla_violations for m in self.metrics)",
+    ),
+    ("repro/fleet/engine.py", "FleetReport.total_migrations"): (
+        "(m.migrations for m in self.metrics)",
+    ),
+    ("repro/fleet/engine.py", "_score_cluster"): ("iteration_counts",),
+    ("repro/fleet/engine.py", "_pool_rows"): (
+        "(1 for nic in pool for r in nic.residents "
+        "if cluster.is_home(nic, r.instance_id))",
+        "(nic.spec.num_cores for nic in pool)",
+        "(nic.cores_used() for nic in pool)",
+    ),
+    ("repro/fleet/engine.py", "EventReport.probes"): (
+        "(1 for o in self.observations if o.kind == 'probe')",
+    ),
+    ("repro/fleet/engine.py", "EventEngine._observe"): (
+        "(nic.spec.num_cores for nic in cluster.nics)",
+        "(nic.cores_used() for nic in cluster.nics)",
+    ),
+    ("repro/fleet/runtime.py", "PodScoreTask.scenario_count"): (
+        "(len(keys) for _, keys in self.mixes)",
+    ),
+    ("repro/fleet/runtime.py", "ProcessRuntime.score_pods"): (
+        "(task.scenario_count for task in tasks)",
+    ),
+    ("repro/fleet/topology.py", "Topology.cross_pod_migrations"): (
+        "(1 for record in migrations "
+        "if self.is_cross_pod(record.from_nic, record.to_nic))",
+    ),
+    ("repro/nic/batch.py", "_validate"): ("(w.cores for w in workloads)",),
+    ("repro/nic/batch.py", "_merge_small_groups"): (
+        "(len(by_sig[sig][0]) for sig in member_sigs)",
+    ),
+    ("repro/nic/batch.py", "solve_batch"): (
+        "(len(m_plans) for _, m_plans, _ in members)",
+        "(len(plans) for _, plans, _ in small)",
+        "(len(m_plans) * (len(sig) - len(m_sig)) "
+        "for m_sig, m_plans, _ in members)",
+        "(len(plans) * (len(super_sig) - len(sig)) "
+        "for sig, plans, _ in members)",
+    ),
+    ("repro/nic/nic.py", "SmartNic.run"): ("(w.cores for w in workloads)",),
+    ("repro/profiling/collector.py", "ProfilingCollector.co_run_with"): (
+        "(d.cores for d in demands)",
+    ),
+    ("repro/profiling/collector.py", "ProfilingCollector.co_run_many"): (
+        "(d.cores for d in demands)",
+    ),
+    ("repro/traffic/payload.py", "measure_mtbr"): (
+        "(len(p) for p in payloads)",
+        "(ruleset.total_matches(p) for p in payloads)",
+    ),
+    ("repro/traffic/rules.py", "RuleSet.total_matches"): (
+        "self.scan(payload).values()",
+    ),
+    ("repro/usecases/scheduling.py", "Scheduler.place"): (
+        "(1 for drop, resident in zip(drops, residents) "
+        "if drop > resident.sla_drop_fraction)",
+    ),
+}
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def builtin_sum_calls(source: str) -> list[tuple[str, int]]:
-    """``(enclosing qualified name, line)`` of every ``sum(...)`` call."""
-    calls: list[tuple[str, int]] = []
+def builtin_sum_calls(source: str) -> list[tuple[str, int, str]]:
+    """``(enclosing qualified name, line, arguments)`` of every ``sum(...)``."""
+    calls: list[tuple[str, int, str]] = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
@@ -163,7 +213,10 @@ def builtin_sum_calls(source: str) -> list[tuple[str, int]]:
                 and isinstance(child.func, ast.Name)
                 and child.func.id == "sum"
             ):
-                calls.append((".".join(scope) or "<module>", child.lineno))
+                arguments = ast.unparse(child)[len("sum("):-1]
+                calls.append(
+                    (".".join(scope) or "<module>", child.lineno, arguments)
+                )
             visit(child, inner)
 
     visit(ast.parse(source), ())
@@ -171,13 +224,23 @@ def builtin_sum_calls(source: str) -> list[tuple[str, int]]:
 
 
 def unlisted_sums(files: dict[str, str]) -> list[str]:
-    """Builtin ``sum`` calls of ``{path: source}`` not on the allowlist."""
-    return [
-        f"{path}:{line} in {scope}"
-        for path, source in sorted(files.items())
-        for scope, line in builtin_sum_calls(source)
-        if (path, scope) not in INT_ONLY_SUMS
-    ]
+    """Builtin ``sum`` calls of ``{path: source}`` not on the allowlist.
+
+    Each listed call admits one call with the same arguments in the
+    same function, so a second copy of a listed call fails too.
+    """
+    unlisted = []
+    for path, source in sorted(files.items()):
+        allowed: dict[str, Counter] = {}
+        for scope, line, arguments in builtin_sum_calls(source):
+            budget = allowed.setdefault(
+                scope, Counter(INT_ONLY_SUMS.get((path, scope), ()))
+            )
+            if budget[arguments] > 0:
+                budget[arguments] -= 1
+            else:
+                unlisted.append(f"{path}:{line} in {scope}: sum({arguments})")
+    return unlisted
 
 
 def test_src_has_no_unlisted_builtin_sum():
@@ -201,7 +264,24 @@ def test_lint_flags_a_float_sum():
         "    def load(self, rates):\n"
         "        return sum(rate * 0.5 for rate in rates)\n"
     )
-    assert builtin_sum_calls(source) == [("SmartNic.run", 3), ("SmartNic.load", 5)]
+    assert builtin_sum_calls(source) == [
+        ("SmartNic.run", 3, "(w.cores for w in workloads)"),
+        ("SmartNic.load", 5, "(rate * 0.5 for rate in rates)"),
+    ]
     assert unlisted_sums({"repro/nic/nic.py": source}) == [
-        "repro/nic/nic.py:5 in SmartNic.load"
+        "repro/nic/nic.py:5 in SmartNic.load: sum((rate * 0.5 for rate in rates))"
+    ]
+
+
+def test_lint_flags_a_new_sum_in_a_listed_function():
+    source = (
+        "class SmartNic:\n"
+        "    def run(self, workloads, rates):\n"
+        "        cores = sum(w.cores for w in workloads)\n"
+        "        load = sum(rates)\n"
+        "        return sum(w.cores for w in workloads)\n"
+    )
+    assert unlisted_sums({"repro/nic/nic.py": source}) == [
+        "repro/nic/nic.py:4 in SmartNic.run: sum(rates)",
+        "repro/nic/nic.py:5 in SmartNic.run: sum((w.cores for w in workloads))",
     ]
