@@ -113,7 +113,7 @@ from repro.fleet.faults import FaultSchedule, faults_payload
 from repro.fleet.policies import FleetPolicy, PlacementModel, make_policy
 from repro.fleet.runtime import PodScoreTask, Runtime, make_runtime
 from repro.fleet.topology import Topology
-from repro.nf.catalog import make_nf
+from repro.nf.catalog import shared_nf
 from repro.numeric import left_sum
 from repro.obs import (
     NULL_RECORDER,
@@ -367,7 +367,7 @@ def _solo_throughput(
 ) -> float:
     return (
         model.collector_for(target)
-        .solo(make_nf(nf_name), traffic)
+        .solo(shared_nf(nf_name), traffic)
         .throughput_mpps
     )
 

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Protocol, Sequen
 
 from repro.errors import ConfigurationError, PlacementError
 from repro.fleet.cluster import Cluster, ServiceInstance
-from repro.nf.catalog import make_nf
+from repro.nf.catalog import shared_nf
 from repro.nic.counters import PerfCounters
 from repro.traffic.profile import TrafficProfile
 
@@ -214,7 +214,7 @@ class PlacementModel:
     ) -> float:
         """Measured solo throughput of one resident (collector-cached)."""
         return self._target(target).collector.solo(
-            make_nf(resident.nf_name), resident.traffic
+            shared_nf(resident.nf_name), resident.traffic
         ).throughput_mpps
 
     def _resident_mem_bw(
@@ -223,7 +223,7 @@ class PlacementModel:
         key = (target_name, resident.nf_name, resident.traffic)
         if key not in self._mem_bw_cache:
             counters = entry.collector.solo(
-                make_nf(resident.nf_name), resident.traffic
+                shared_nf(resident.nf_name), resident.traffic
             ).counters
             self._mem_bw_cache[key] = (counters.memrd + counters.memwr) * 64.0
         return self._mem_bw_cache[key]
@@ -360,7 +360,7 @@ class PlacementModel:
                     f"no SLOMO predictor for {resident.nf_name!r}"
                 )
             competitor_counters = [
-                entry.collector.solo(make_nf(r.nf_name), r.traffic).counters
+                entry.collector.solo(shared_nf(r.nf_name), r.traffic).counters
                 for j, r in enumerate(residents)
                 if j != i
             ]

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.nf.catalog import make_nf
+from repro.nf.catalog import shared_nf
 from repro.obs import NULL_RECORDER, Recorder
 from repro.rng import derive_seed
 
@@ -105,7 +105,7 @@ def solve_solos(
     collector in the parent. ``batch`` solves all pairs in one
     ``run_batch`` call; ``loop`` is the per-scenario oracle.
     """
-    nfs = [make_nf(name) for name, _ in pairs]
+    nfs = [shared_nf(name) for name, _ in pairs]
     scenarios = [[nf.demand(traffic)] for nf, (_, traffic) in zip(nfs, pairs)]
     if score_mode == "batch":
         solved = nic_sim.run_batch(scenarios)
@@ -126,7 +126,7 @@ def solve_pod(
     point (identical in batch and loop modes — the iterate path is
     bit-identical, so convergence lands on the same step; telemetry
     relies on this). Rebuilds each mix's demands exactly as the
-    engines' scoring core always has — ``make_nf(name).demand(traffic,
+    engines' scoring core always has — ``shared_nf(name).demand(traffic,
     instance=f"{name}#{j}")`` — so the solved scenarios are identical
     objects to the serial path's.
     """
@@ -135,7 +135,7 @@ def solve_pod(
         nic_sim = nics_by_target[target]
         scenarios = [
             [
-                make_nf(name).demand(traffic, instance=f"{name}#{j}")
+                shared_nf(name).demand(traffic, instance=f"{name}#{j}")
                 for j, (name, traffic) in enumerate(key)
             ]
             for key in mix_keys
@@ -282,11 +282,11 @@ class SerialRuntime(Runtime):
     def warm_solos(self, collector, target, pairs, score_mode) -> None:
         if score_mode == "batch":
             collector.solo_many(
-                [(make_nf(name), traffic) for name, traffic in pairs]
+                [(shared_nf(name), traffic) for name, traffic in pairs]
             )
         else:
             for name, traffic in pairs:
-                collector.solo(make_nf(name), traffic)
+                collector.solo(shared_nf(name), traffic)
 
     def score_pods(self, tasks, score_mode):
         obs = self._obs
@@ -500,7 +500,7 @@ class ProcessRuntime(Runtime):
         uncached: list[tuple] = []
         seen: set[tuple] = set()
         for name, traffic in pairs:
-            nf = make_nf(name)
+            nf = shared_nf(name)
             key = (nf.name, nf.pattern.value, traffic)
             if key in seen or collector.solo_cached(nf, traffic):
                 continue
@@ -521,7 +521,7 @@ class ProcessRuntime(Runtime):
         )
         for chunk, chunk_results in zip(chunks, solved):
             for (name, traffic), result in zip(chunk, chunk_results):
-                collector.install_solo(make_nf(name), traffic, result)
+                collector.install_solo(shared_nf(name), traffic, result)
 
     def score_pods(self, tasks, score_mode):
         total = sum(task.scenario_count for task in tasks)

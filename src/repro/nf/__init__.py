@@ -17,6 +17,7 @@ from repro.nf.catalog import (
     NfDescriptor,
     all_nf_names,
     make_nf,
+    shared_nf,
     traffic_sensitive_nf_names,
 )
 from repro.nf.elements import (
@@ -63,5 +64,6 @@ __all__ = [
     "regex_bench",
     "regex_nf",
     "rtc_probe_nf",
+    "shared_nf",
     "traffic_sensitive_nf_names",
 ]

@@ -9,6 +9,7 @@ paper's figures show (roughly 0.4 - 2.5 Mpps on two BlueField-2 cores).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -410,6 +411,17 @@ def make_nf(name: str) -> NetworkFunction:
         raise ConfigurationError(
             f"unknown NF {name!r}; known: {sorted(NF_CATALOG)}"
         ) from None
+
+
+@functools.cache
+def shared_nf(name: str) -> NetworkFunction:
+    """The catalogued NF ``name``, built once per process.
+
+    NF objects are frozen, so loops that only read them (the fleet's
+    per-resident solo lookups and mix rebuilds) share one instance
+    instead of building a fresh one with :func:`make_nf` per use.
+    """
+    return make_nf(name)
 
 
 def all_nf_names(include_pensando: bool = False) -> list[str]:

@@ -15,11 +15,22 @@ Two phases:
    *every* kept attribute so coverage is a quadtree over the attribute
    space, not just its diagonal. Repeated configurations are served from
    the collector's cache and charged no quota, exactly as the paper's
-   ``profile_one`` specifies. A region's contended samples are
-   independent, so they are collected through
-   :meth:`ProfilingCollector.profile_many` — one ``run_batch`` solve
-   per region — with sample/cache/quota accounting identical to the
-   looped primitive (``use_batch=False``, the pinned oracle).
+   ``profile_one`` specifies.
+
+Measuring once: only the box-corner probes' values steer the splits,
+and every pruning probe is known before any pruning decision. All other
+samples (midpoint solo anchors, region contended samples, residual
+random samples, the traffic-insensitive branch) are value-free: their
+rng draws, dedup and quota accounting depend only on configuration
+keys. So the profiler measures the pruning probes in one
+:meth:`ProfilingCollector.profile_many` call, measures each corner with
+``profile_one`` when Algorithm 1 asks for it, records only the key of
+every other sample, and builds the dataset with one final
+``profile_many`` over all recorded keys (first-seen order): corners come
+back from the sample cache and everything else solves in one
+``run_batch``. Sample values, dataset order, quota and cache accounting
+are identical to measuring every sample with ``profile_one`` the moment
+it is named (``use_batch=False``, the oracle ``tests/profiling`` pins).
 
 Adaptation vs. the paper: corner probes run under a fixed *reference
 contention* level rather than solo. The paper probes solo (``C = 0``),
@@ -36,6 +47,7 @@ one configuration works across NFs with different absolute rates.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -43,7 +55,7 @@ from repro.errors import ProfilingError
 from repro.nf.framework import NetworkFunction
 from repro.profiling.collector import ProfilingCollector
 from repro.profiling.contention import ContentionLevel
-from repro.profiling.dataset import ProfileDataset
+from repro.profiling.dataset import ProfileDataset, ProfileSample
 from repro.profiling.sampling import ContentionSampler, _default_contention_sampler
 from repro.rng import SeedLike, make_rng
 from repro.traffic.profile import (
@@ -105,9 +117,10 @@ class AdaptiveProfiler:
         self._contention_sampler = contention_sampler
         self._reference_contention = reference_contention
         self._rng = make_rng(seed)
-        # Batch the per-region contended samples through profile_many
-        # (one run_batch per region). False keeps the looped primitive —
-        # the equivalence oracle pinned by tests/profiling.
+        # True defers value-free samples to one final profile_many and
+        # batches the pruning probes. False measures every sample with
+        # profile_one when it is named — the oracle pinned by
+        # tests/profiling.
         self._use_batch = use_batch
 
     # ------------------------------------------------------------------
@@ -122,15 +135,16 @@ class AdaptiveProfiler:
         ranges = dict(DEFAULT_RANGES if ranges is None else ranges)
         attributes = list(ranges) if attributes is None else list(attributes)
 
-        dataset = ProfileDataset(nf.name)
         report = AdaptiveProfilingReport(
-            dataset=dataset,
+            dataset=ProfileDataset(nf.name),
             kept_attributes=[],
             pruned_attributes=[],
             quota=self._quota,
             samples_used=0,
         )
-        self._seen: set[tuple] = set()
+        # Every distinct (contention, traffic) named so far, first-seen
+        # order; the dataset is built from these keys at the end.
+        self._seen: dict[tuple, None] = {}
         reference = self._collector.solo(nf, base_traffic).throughput_mpps
 
         # Phase 1: prune insensitive attributes (lines 7-11 of Alg. 1).
@@ -142,132 +156,111 @@ class AdaptiveProfiler:
         maxed_traffic = base_traffic
         for name in attributes:
             maxed_traffic = maxed_traffic.with_attribute(name, ranges[name].maximum)
+        # Per attribute: (high, low) probe keys of each screening context.
+        screens = {
+            name: [
+                (
+                    (contention, context.with_attribute(name, ranges[name].maximum)),
+                    (contention, context.with_attribute(name, ranges[name].minimum)),
+                )
+                for context in (base_traffic, maxed_traffic)
+                for contention in (ContentionLevel(), self._reference_contention)
+            ]
+            for name in attributes
+        }
+        # Once the quota is spent, new probe configurations are cut
+        # (repeats stay free) and an attribute with a cut probe is kept:
+        # no quota is left to range-profile it anyway.
+        named = []
         for name in attributes:
-            span = ranges[name]
-            diffs = []
-            for context in (base_traffic, maxed_traffic):
-                low_traffic = context.with_attribute(name, span.minimum)
-                high_traffic = context.with_attribute(name, span.maximum)
-                for contention in (ContentionLevel(), self._reference_contention):
-                    diffs.append(
-                        abs(
-                            self._sample(nf, contention, high_traffic, dataset, report)
-                            - self._sample(nf, contention, low_traffic, dataset, report)
-                        )
-                    )
-            if max(diffs) < self._epsilon_prune * reference:
+            for pair in screens[name]:
+                for key in pair:
+                    if key in self._seen or report.samples_used < self._quota:
+                        self._record(key, report)
+                        named.append(key)
+        throughput = {
+            key: sample.throughput_mpps
+            for key, sample in zip(named, self._measure(nf, named))
+        }
+        for name in attributes:
+            pairs = screens[name]
+            if all(key in throughput for pair in pairs for key in pair) and (
+                max(abs(throughput[high] - throughput[low]) for high, low in pairs)
+                < self._epsilon_prune * reference
+            ):
                 report.pruned_attributes.append(name)
             else:
                 report.kept_attributes.append(name)
 
-        if not report.kept_attributes:
+        kept = report.kept_attributes
+        if not kept:
             # Traffic-insensitive NF: spend the remaining quota on
             # contention-only samples at the default traffic.
             while report.samples_used < self._quota:
-                self._contended_sample(nf, base_traffic, dataset, report)
-            return report
-
-        # Phase 2: recursive range profiling (lines 14-26 of Alg. 1).
-        kept = report.kept_attributes
-        lows = {n: ranges[n].minimum for n in kept}
-        highs = {n: ranges[n].maximum for n in kept}
-        spans = {n: ranges[n].maximum - ranges[n].minimum for n in kept}
-        self._range_profile(
-            nf, base_traffic, lows, highs, spans, reference, dataset, report
-        )
-
-        # Spend any residual quota on random points of the explored
-        # space so it is never wasted.
-        guard = 0
-        while report.samples_used < self._quota and guard < 20 * self._quota:
-            guard += 1
-            traffic = base_traffic
-            for name in kept:
-                span = ranges[name]
-                traffic = traffic.with_attribute(
-                    name, float(self._rng.uniform(span.minimum, span.maximum))
+                self._sample(
+                    nf, self._contention_sampler(self._rng), base_traffic, report
                 )
-            self._contended_sample(nf, traffic, dataset, report)
+        else:
+            # Phase 2: recursive range profiling (lines 14-26 of Alg. 1).
+            lows = {n: ranges[n].minimum for n in kept}
+            highs = {n: ranges[n].maximum for n in kept}
+            spans = {n: ranges[n].maximum - ranges[n].minimum for n in kept}
+            self._range_profile(nf, base_traffic, lows, highs, spans, reference, report)
+            # Spend any residual quota on random points of the explored
+            # space so it is never wasted.
+            guard = 0
+            while report.samples_used < self._quota and guard < 20 * self._quota:
+                guard += 1
+                traffic = base_traffic
+                for name in kept:
+                    span = ranges[name]
+                    traffic = traffic.with_attribute(
+                        name, float(self._rng.uniform(span.minimum, span.maximum))
+                    )
+                self._sample(nf, self._contention_sampler(self._rng), traffic, report)
+
+        report.dataset.extend(self._measure(nf, list(self._seen)))
         return report
 
     # ------------------------------------------------------------------
+    def _record(self, key: tuple, report: AdaptiveProfilingReport) -> None:
+        """Name a sample; a new configuration is charged one quota unit."""
+        if key not in self._seen:
+            self._seen[key] = None
+            report.samples_used += 1
+
+    def _measure(
+        self, nf: NetworkFunction, keys: list[tuple]
+    ) -> list[ProfileSample]:
+        """One sample per ``(contention, traffic)`` key, in order."""
+        requests = [(nf, contention, traffic) for contention, traffic in keys]
+        if self._use_batch:
+            return self._collector.profile_many(requests)
+        return [self._collector.profile_one(*request) for request in requests]
+
     def _sample(
         self,
         nf: NetworkFunction,
         contention: ContentionLevel,
         traffic: TrafficProfile,
-        dataset: ProfileDataset,
-        report: AdaptiveProfilingReport,
-    ) -> float:
-        """profile_one with config-level dedup; returns the throughput."""
-        key = (contention, traffic)
-        sample = self._collector.profile_one(nf, contention, traffic)
-        if key not in self._seen:
-            self._seen.add(key)
-            dataset.add(sample)
-            report.samples_used += 1
-        return sample.throughput_mpps
-
-    def _contended_sample(
-        self,
-        nf: NetworkFunction,
-        traffic: TrafficProfile,
-        dataset: ProfileDataset,
         report: AdaptiveProfilingReport,
     ) -> None:
-        contention = self._contention_sampler(self._rng)
-        self._sample(nf, contention, traffic, dataset, report)
+        """A value-free sample: deferred to the final batch."""
+        if not self._use_batch:
+            self._collector.profile_one(nf, contention, traffic)
+        self._record((contention, traffic), report)
 
-    def _region_contended_samples(
+    def _probe(
         self,
         nf: NetworkFunction,
+        contention: ContentionLevel,
         traffic: TrafficProfile,
-        dataset: ProfileDataset,
         report: AdaptiveProfilingReport,
-    ) -> bool:
-        """``samples_per_region`` contended samples at a region midpoint.
-
-        Returns ``False`` when the quota ran out mid-region (the caller
-        stops refining, exactly like the looped primitive's early
-        return). The samples of one region are independent, so the
-        batch path draws the contention levels the loop would draw —
-        the between-draws quota check uses a *projected* sample count,
-        which matches the loop because repeated configurations are
-        charged no quota — then solves all of them in one
-        :meth:`ProfilingCollector.profile_many` call. Sample values,
-        dataset order, quota and cache accounting are identical to the
-        loop; ``tests/profiling`` pins the equivalence.
-        """
-        if not self._use_batch:
-            for _ in range(self._samples_per_region):
-                if report.samples_used >= self._quota:
-                    return False
-                self._contended_sample(nf, traffic, dataset, report)
-            return True
-        pending: list[ContentionLevel] = []
-        projected = report.samples_used
-        projected_new: set[tuple] = set()
-        exhausted = False
-        for _ in range(self._samples_per_region):
-            if projected >= self._quota:
-                exhausted = True
-                break
-            contention = self._contention_sampler(self._rng)
-            pending.append(contention)
-            key = (contention, traffic)
-            if key not in self._seen and key not in projected_new:
-                projected_new.add(key)
-                projected += 1
-        samples = self._collector.profile_many(
-            [(nf, contention, traffic) for contention in pending]
-        )
-        for contention, sample in zip(pending, samples):
-            key = (contention, traffic)
-            if key not in self._seen:
-                self._seen.add(key)
-                dataset.add(sample)
-                report.samples_used += 1
-        return not exhausted
+    ) -> float:
+        """A sample whose value steers Algorithm 1, measured now."""
+        value = self._collector.profile_one(nf, contention, traffic).throughput_mpps
+        self._record((contention, traffic), report)
+        return value
 
     def _apply(self, base: TrafficProfile, values: dict[str, float]) -> TrafficProfile:
         traffic = base
@@ -283,7 +276,6 @@ class AdaptiveProfiler:
         highs: dict[str, float],
         spans: dict[str, float],
         reference: float,
-        dataset: ProfileDataset,
         report: AdaptiveProfilingReport,
     ) -> None:
         """Sensitivity-prioritised breadth-first box refinement.
@@ -295,31 +287,24 @@ class AdaptiveProfiler:
         runs out. Each split collects ``samples_per_region`` contended
         samples plus one solo anchor at the box midpoint.
         """
-        import heapq
-
         counter = itertools.count()
         heap: list[tuple[float, int, dict, dict]] = [
             (-float("inf"), next(counter), lows, highs)
         ]
         epsilon = self._epsilon_split * reference
+        idle = ContentionLevel()
         while heap and report.samples_used < self._quota:
             _, __, box_lows, box_highs = heapq.heappop(heap)
             low_traffic = self._apply(base_traffic, box_lows)
             high_traffic = self._apply(base_traffic, box_highs)
-            t_low = self._sample(
-                nf, self._reference_contention, low_traffic, dataset, report
-            )
+            t_low = self._probe(nf, self._reference_contention, low_traffic, report)
             if report.samples_used >= self._quota:
                 return
-            t_high = self._sample(
-                nf, self._reference_contention, high_traffic, dataset, report
-            )
+            t_high = self._probe(nf, self._reference_contention, high_traffic, report)
             if report.samples_used >= self._quota:
                 return
-            solo_low = self._sample(nf, ContentionLevel(), low_traffic, dataset, report)
-            solo_high = self._sample(
-                nf, ContentionLevel(), high_traffic, dataset, report
-            )
+            solo_low = self._probe(nf, idle, low_traffic, report)
+            solo_high = self._probe(nf, idle, high_traffic, report)
             if report.samples_used >= self._quota:
                 return
             # Traffic sensitivity: corners differ under contention.
@@ -339,9 +324,12 @@ class AdaptiveProfiler:
             report.regions_split += 1
             mids = {n: 0.5 * (box_lows[n] + box_highs[n]) for n in box_lows}
             mid_traffic = self._apply(base_traffic, mids)
-            self._sample(nf, ContentionLevel(), mid_traffic, dataset, report)
-            if not self._region_contended_samples(nf, mid_traffic, dataset, report):
-                return
+            self._sample(nf, idle, mid_traffic, report)
+            for _ in range(self._samples_per_region):
+                if report.samples_used >= self._quota:
+                    return
+                contention = self._contention_sampler(self._rng)
+                self._sample(nf, contention, mid_traffic, report)
             priority = diff + 0.3 * deviation
             names = list(box_lows)
             for corner in itertools.product((0, 1), repeat=len(names)):

@@ -54,20 +54,22 @@ def full_profile(
         points = grid_points.get(name, 8)
         axes.append([(name, v) for v in ranges[name].grid(points)])
 
-    dataset = ProfileDataset(nf.name)
     grids = np.meshgrid(*[np.arange(len(a)) for a in axes], indexing="ij")
+    requests = []
     for flat_index in range(grids[0].size):
         traffic = base_traffic
         for axis_index, axis in enumerate(axes):
             name, value = axis[grids[axis_index].flat[flat_index]]
             traffic = traffic.with_attribute(name, value)
         for _ in range(contention_levels_per_point):
-            contention = contention_sampler(rng)
-            dataset.add(collector.profile_one(nf, contention, traffic))
+            requests.append((nf, contention_sampler(rng), traffic))
         # Always include the solo point so zero-contention behaviour is
         # represented in the training distribution.
-        dataset.add(collector.profile_one(nf, ContentionLevel(), traffic))
-    return dataset
+        requests.append((nf, ContentionLevel(), traffic))
+    # No draw depends on a measured value, so every point is measured in
+    # one batch (same samples and quota accounting as one profile_one
+    # per draw).
+    return ProfileDataset(nf.name, collector.profile_many(requests))
 
 
 def random_profile(
@@ -93,8 +95,8 @@ def random_profile(
     attributes = list(ranges) if attributes is None else list(attributes)
     rng, contention_rng = spawn(make_rng(seed), 2)
 
-    dataset = ProfileDataset(nf.name)
     n_solo = max(1, int(round(solo_fraction * quota)))
+    requests = []
     for index in range(quota):
         traffic = base_traffic
         for name in attributes:
@@ -106,5 +108,5 @@ def random_profile(
             contention = ContentionLevel()
         else:
             contention = contention_sampler(contention_rng)
-        dataset.add(collector.profile_one(nf, contention, traffic))
-    return dataset
+        requests.append((nf, contention, traffic))
+    return ProfileDataset(nf.name, collector.profile_many(requests))

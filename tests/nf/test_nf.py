@@ -8,6 +8,7 @@ from repro.nf.catalog import (
     NF_CATALOG,
     all_nf_names,
     make_nf,
+    shared_nf,
     traffic_sensitive_nf_names,
 )
 from repro.nf.elements import (
@@ -176,6 +177,11 @@ class TestCatalog:
 
     def test_builders_produce_fresh_instances(self):
         assert make_nf("nat") is not make_nf("nat")
+
+    def test_shared_nf_is_built_once(self):
+        assert shared_nf("nat") is shared_nf("nat")
+        traffic = TrafficProfile()
+        assert shared_nf("nat").demand(traffic) == make_nf("nat").demand(traffic)
 
 
 class TestSyntheticBenches:
