@@ -17,7 +17,6 @@ from repro.nf.catalog import (
     NfDescriptor,
     all_nf_names,
     make_nf,
-    shared_nf,
     traffic_sensitive_nf_names,
 )
 from repro.nf.elements import (
@@ -64,6 +63,5 @@ __all__ = [
     "regex_bench",
     "regex_nf",
     "rtc_probe_nf",
-    "shared_nf",
     "traffic_sensitive_nf_names",
 ]
