@@ -1378,18 +1378,30 @@ class _Group:
                     last_residual = last_residual[keep]
                     frozen = np.zeros(len(rows), dtype=bool)
 
-        # The for-else path of the scalar loop: accept small residuals,
-        # fail the rest.
+        # The tail of the scalar solve: accept small residuals and give
+        # the rest the scalar restart from their (bit-identical) iterate.
         open_slots = np.flatnonzero(~frozen)
         for slot in open_slots:
-            res = last_residual[slot]
-            if res > _nic._ACCEPT_RESIDUAL:
-                errors[rows[slot]] = ConvergenceError(
-                    f"fixed point residual {res:.3e} after "
-                    f"{_nic._MAX_ITERATIONS} iterations"
-                )
-            else:
-                thr_final[rows[slot]] = thr[slot]
+            row = rows[slot]
+            thr_final[row] = thr[slot]
+            if last_residual[slot] > _nic._ACCEPT_RESIDUAL:
+                obs.exec_counter("batch.restarts")
+                plan = self._plans[row]
+                cols = self.embeddings[row]
+                throughput = {
+                    p.name: float(thr[slot, w])
+                    for p, w in zip(plan.workloads, cols)
+                }
+                try:
+                    iterations[row] = self._nic._restart(
+                        [p.demand for p in plan.workloads],
+                        throughput,
+                        _nic._MAX_ITERATIONS,
+                    )
+                except SimulationError as error:
+                    errors[row] = error
+                    continue
+                thr_final[row, cols] = [throughput[p.name] for p in plan.workloads]
 
         results: list = [None] * S
         for row, error in errors.items():

@@ -22,7 +22,7 @@ from repro.nf.catalog import EVALUATION_NF_NAMES, make_nf
 from repro.nf.synthetic import nf1, nf2
 from repro.nic.accelerator import AcceleratorClient, AcceleratorEngine
 from repro.nic.batch import _ScenarioPlan, _stacked_waterfill
-from repro.nic.nic import SmartNic
+from repro.nic.nic import _MAX_ITERATIONS, SmartNic
 from repro.nic.spec import bluefield2_spec, get_spec, pensando_spec
 from repro.nic.workload import ExecutionPattern
 from repro.obs import TraceRecorder, use_recorder
@@ -140,6 +140,38 @@ class TestRunBatchEquivalence:
         assert len(iteration_counts) > 1, "expected a convergence spread"
         for i, scenario in enumerate(scenarios):
             assert_identical(nic.run(scenario), batch[i], f"mixed {i}")
+
+    def test_unsettled_rows_restart_like_the_scalar_solver(self):
+        """A mix still above the accepted residual after
+        ``_MAX_ITERATIONS`` sweeps (its damping shrank to the floor
+        while it drifted off an unstable fixed point) settles in the
+        restart, in the scalar solver and in exact and padded groups."""
+        nic = SmartNic(pensando_spec(), seed=59408)
+
+        def mix(layout):
+            return [
+                make_nf(name).demand(_HETERO_TRAFFIC[t], instance=f"{name}#{j}")
+                for j, (name, t) in enumerate(layout)
+            ]
+
+        names = ("flowclassifier", "iptunnel", "nat", "nat", "nat", "flowstats")
+        unsettled = mix(zip(names, (1, 0, 1, 1, 0, 0)))
+        scenarios = [
+            mix(zip(names, (0, 1, 2, 1, 0, 2))),
+            unsettled,
+            mix(zip(names, (2, 2, 0, 0, 2, 1))),
+            unsettled[:5],
+        ]
+        assert nic.run(unsettled).iterations > _MAX_ITERATIONS
+        for size in (3, 4):  # an exact group; a padded family
+            recorder = TraceRecorder()
+            with use_recorder(recorder):
+                batch = nic.run_batch(scenarios[:size])
+            counters = recorder.exec_counters
+            assert counters["batch.restarts"] == 1, size
+            assert "batch.scalar_scenarios" not in counters, size
+            for i, result in enumerate(batch):
+                assert_identical(nic.run(scenarios[i]), result, f"restart {i}")
 
     def test_many_clients_on_one_engine(self):
         """>=3 clients sharing one accelerator engine stay bit-exact.
