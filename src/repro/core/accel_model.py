@@ -252,35 +252,6 @@ class QueueingAcceleratorModel:
         payload = _COMPRESSION_CALIBRATION[setting_index]
         return 0.040 + payload / 1500.0
 
-    def _solve_equilibrium_pair(
-        self,
-        collector: ProfilingCollector,
-        nf: NetworkFunction,
-        traffic: TrafficProfile,
-    ) -> tuple[float, float]:
-        """Solve (n_i, t_i) from two equilibrium co-runs (§4.1.1).
-
-        With the bench saturated at known ``(n_b=1, t_b)``:
-        ``1/T_k = t_i + t_bk / n_i`` for settings k=1,2.
-        """
-        inverse_rates = []
-        bench_times = []
-        for setting in (0, 1):
-            sample = collector.profile_one(nf, self._bench_contention(setting), traffic)
-            if sample.throughput_mpps <= 0:
-                raise ProfilingError("equilibrium co-run produced zero throughput")
-            inverse_rates.append(1.0 / sample.throughput_mpps)
-            bench_times.append(self._bench_request_time(setting))
-        delta_inverse = inverse_rates[0] - inverse_rates[1]
-        delta_bench = bench_times[0] - bench_times[1]
-        if abs(delta_inverse) < 1e-12:
-            n_est = 1.0
-        else:
-            n_est = max(1.0, delta_bench / delta_inverse)
-        t_est = inverse_rates[0] - bench_times[0] / n_est
-        t_est = max(t_est, 1e-4)
-        return n_est, t_est
-
     @staticmethod
     def _time_features(traffic: TrafficProfile) -> np.ndarray:
         """Eq. 4 features: payload bytes and expected matches/packet."""

@@ -12,25 +12,15 @@ matrix with one ``np.array`` call, shares one scaler pass and one
 ensemble traversal across the whole request set, and is bit-identical
 per row to the single-call path.
 
-Two training modes are supported:
-
-- the default fits the GBR on the raw (scaled) feature matrix with the
-  bit-exact ``vectorized`` split finder — this is the mode every paper
-  experiment uses;
-- ``quantize_bins=K`` snaps each feature to ``K`` quantile-derived
-  representative values at fit time, which caps feature cardinality so
-  the ``histogram`` split finder accelerates even continuous counter
-  matrices. Prediction inputs are snapped through the same bins, so
-  train and test features live on one grid. Quantization is a lossy
-  speed/accuracy knob (like LightGBM's ``max_bin``), *not* a bit-exact
-  transformation — experiments reproducing paper numbers keep it off.
+Training fits the GBR on the scaled feature matrix with its default,
+bit-exact ``vectorized`` split finder.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ModelNotFittedError, ProfilingError
+from repro.errors import ModelNotFittedError, ProfilingError
 from repro.ml.gbr import GradientBoostingRegressor
 from repro.ml.preprocessing import StandardScaler
 from repro.nic.counters import PerfCounters, counter_values
@@ -51,15 +41,9 @@ class MemoryContentionModel:
         max_depth: int = 3,
         subsample: float = 0.9,
         seed: SeedLike = None,
-        quantize_bins: int | None = None,
     ) -> None:
-        if quantize_bins is not None and quantize_bins < 2:
-            raise ConfigurationError(
-                f"quantize_bins must be >= 2, got {quantize_bins}"
-            )
         self.nf_name = nf_name
         self.traffic_aware = traffic_aware
-        self.quantize_bins = quantize_bins
         self._scaler = StandardScaler()
         self._model = GradientBoostingRegressor(
             n_estimators=n_estimators,
@@ -68,44 +52,8 @@ class MemoryContentionModel:
             subsample=subsample,
             min_samples_leaf=2,
             seed=seed,
-            # Quantization caps per-feature cardinality at fit time,
-            # which is exactly the regime the histogram finder wins in.
-            split_algorithm="histogram" if quantize_bins else "vectorized",
         )
-        self._bin_edges: np.ndarray | None = None  # (K-1, d) interior edges
-        self._bin_reps: np.ndarray | None = None  # (K, d) representatives
         self._fitted = False
-        self._train_size = 0
-
-    @property
-    def quantized(self) -> bool:
-        """Whether fit/predict features are snapped to quantile bins."""
-        return self.quantize_bins is not None
-
-    # ------------------------------------------------------------------
-    def _fit_bins(self, scaled: np.ndarray) -> np.ndarray:
-        """Learn per-feature quantile bins and return snapped features.
-
-        Edges sit at the ``K-1`` interior quantiles of each (scaled)
-        training column; each bin's representative is the column's
-        quantile at the bin's probability midpoint, so representatives
-        track the data distribution even for heavily skewed counters.
-        """
-        k = self.quantize_bins
-        probs = np.linspace(0.0, 1.0, k + 1)
-        self._bin_edges = np.quantile(scaled, probs[1:-1], axis=0)
-        self._bin_reps = np.quantile(scaled, (probs[:-1] + probs[1:]) / 2.0, axis=0)
-        return self._snap(scaled)
-
-    def _snap(self, scaled: np.ndarray) -> np.ndarray:
-        """Snap (scaled) feature rows onto the learned bin grid."""
-        snapped = np.empty_like(scaled)
-        for f in range(scaled.shape[1]):
-            codes = np.searchsorted(
-                self._bin_edges[:, f], scaled[:, f], side="right"
-            )
-            snapped[:, f] = self._bin_reps[codes, f]
-        return snapped
 
     # ------------------------------------------------------------------
     def fit(self, dataset: ProfileDataset) -> "MemoryContentionModel":
@@ -118,12 +66,8 @@ class MemoryContentionModel:
             raise ProfilingError("need at least 4 samples to train")
         features = dataset.features(include_traffic=self.traffic_aware)
         targets = dataset.targets()
-        scaled = self._scaler.fit_transform(features)
-        if self.quantized:
-            scaled = self._fit_bins(scaled)
-        self._model.fit(scaled, targets)
+        self._model.fit(self._scaler.fit_transform(features), targets)
         self._fitted = True
-        self._train_size = len(dataset)
         return self
 
     # ------------------------------------------------------------------
@@ -183,10 +127,7 @@ class MemoryContentionModel:
                 ],
                 dtype=float,
             )
-        scaled = self._scaler.transform(rows)
-        if self.quantized:
-            scaled = self._snap(scaled)
-        predictions = self._model.predict(scaled)
+        predictions = self._model.predict(self._scaler.transform(rows))
         return np.maximum(predictions, 1e-6)
 
     def predict_solo(self, traffic: TrafficProfile) -> float:
@@ -194,11 +135,6 @@ class MemoryContentionModel:
         return self.predict(PerfCounters.zero(), traffic, n_competitors=0)
 
     # ------------------------------------------------------------------
-    @property
-    def train_size(self) -> int:
-        """Number of samples the model was trained on."""
-        return self._train_size
-
     def feature_importances(self) -> dict[str, float]:
         """Split-based importances keyed by feature name."""
         if not self._fitted:

@@ -23,8 +23,8 @@ Hot-path notes:
   named share. It is built once per placement. Each fixed-point
   iteration only fills in the competitors' offered rates, water-fills
   and composes (``YalaPredictor._evaluate``).
-  :meth:`YalaPredictor.predict_with_cached` runs the same pair, so
-  there is one implementation.
+  :meth:`YalaPredictor.predict_many` runs the same pair, so there is
+  one implementation.
 - NF competitors' solo counters come from the collector's cache, keyed
   by the NF objects the system's predictors already hold
   (:meth:`YalaSystem.nf_of`), not by rebuilt ones.
@@ -161,14 +161,8 @@ class YalaPredictor:
         traffic_aware: bool = True,
         base_traffic: TrafficProfile = TrafficProfile(),
         detect_pattern: bool = True,
-        quantize_bins: Optional[int] = None,
     ) -> "YalaPredictor":
-        """Run the full offline pipeline: pattern, accel models, memory.
-
-        ``quantize_bins`` opts the memory model into the quantized
-        (histogram-split) training mode — a lossy speed knob for large
-        batch-profiled sweeps; the default stays the bit-exact path.
-        """
+        """Run the full offline pipeline: pattern, accel models, memory."""
         if detect_pattern:
             self.pattern_detection = detect_execution_pattern(
                 self._collector, self.nf, base_traffic
@@ -192,7 +186,6 @@ class YalaPredictor:
             self.nf_name,
             traffic_aware=traffic_aware,
             seed=make_rng(derive_seed(self._seed, "gbr")),
-            quantize_bins=quantize_bins,
         )
         self.memory_model.fit(self.profiling_report.dataset)
         return self
@@ -222,13 +215,6 @@ class YalaPredictor:
         if self.memory_model is None:
             raise ModelNotFittedError(f"{self.nf_name}: train() first")
         return self.memory_model.predict_solo(traffic)
-
-    def _memory_throughput(
-        self, counters: PerfCounters, traffic: TrafficProfile, n_competitors: int
-    ) -> float:
-        if self.memory_model is None:
-            raise ModelNotFittedError(f"{self.nf_name}: train() first")
-        return self.memory_model.predict(counters, traffic, n_competitors)
 
     def _accelerator_throughput(
         self,
@@ -327,27 +313,21 @@ class YalaPredictor:
         traffic: TrafficProfile,
         competitors: list[CompetitorSpec] | None = None,
         system: Optional["YalaSystem"] = None,
-        competitor_rates: Optional[dict[int, float]] = None,
     ) -> float:
         """Predict this NF's throughput when co-located with ``competitors``.
 
         NF competitors' accelerator parameters come from their own
-        trained models via ``system``; ``competitor_rates`` (index ->
-        requests/us) optionally bounds their offered accelerator load
-        (used by the system-level fixed point). Without rates, NF
-        competitors are assumed to saturate their queues (Eq. 1).
+        trained models via ``system``; they are assumed to saturate
+        their queues (Eq. 1).
         """
         return self.predict_many(
-            [(traffic, list(competitors or []))],
-            system=system,
-            competitor_rates=[competitor_rates],
+            [(traffic, list(competitors or []))], system=system
         )[0]
 
     def predict_many(
         self,
         requests: list[tuple[TrafficProfile, list[CompetitorSpec]]],
         system: Optional["YalaSystem"] = None,
-        competitor_rates: Optional[list[Optional[dict[int, float]]]] = None,
     ) -> list[float]:
         """Predict several ``(traffic, competitors)`` scenarios at once.
 
@@ -359,11 +339,6 @@ class YalaPredictor:
         """
         if self.memory_model is None or self.pattern is None:
             raise ModelNotFittedError(f"{self.nf_name}: train() first")
-        rates_list = competitor_rates or [None] * len(requests)
-        if len(rates_list) != len(requests):
-            raise ConfigurationError(
-                "competitor_rates must align with requests when given"
-            )
         if not requests:
             return []
 
@@ -387,41 +362,14 @@ class YalaPredictor:
             counters_list, traffics, n_competitors_list
         )
         return [
-            self.predict_with_cached(
-                traffic,
-                competitors,
-                solo=float(solos[i]),
-                memory_throughput=float(memory[i]),
-                system=system,
-                competitor_rates=rates_list[i],
+            self._evaluate(
+                self._plan(traffic, competitors, system),
+                float(solos[i]),
+                float(memory[i]),
+                {},
             )
             for i, (traffic, competitors) in enumerate(requests)
         ]
-
-    def predict_with_cached(
-        self,
-        traffic: TrafficProfile,
-        competitors: list[CompetitorSpec],
-        solo: float,
-        memory_throughput: float,
-        system: Optional["YalaSystem"] = None,
-        competitor_rates: Optional[dict[int, float]] = None,
-    ) -> float:
-        """Compose a prediction from precomputed solo/memory throughputs.
-
-        The memory-model outputs do not depend on competitor *rates*, so
-        fixed-point loops (``YalaSystem.predict_colocation``) evaluate
-        them once per target and only re-run the accelerator models per
-        iteration.
-        """
-        if self.pattern is None:
-            raise ModelNotFittedError(f"{self.nf_name}: train() first")
-        return self._evaluate(
-            self._plan(traffic, competitors, system),
-            solo,
-            memory_throughput,
-            competitor_rates or {},
-        )
 
     def _plan(
         self,
@@ -513,7 +461,6 @@ def _train_predictor_worker(
     seed: int,
     quota: int,
     traffic_aware: bool,
-    quantize_bins: Optional[int],
 ) -> "YalaPredictor":
     """Train one NF's predictor in a worker process.
 
@@ -522,9 +469,7 @@ def _train_predictor_worker(
     match an in-process run exactly.
     """
     predictor = YalaPredictor(make_nf(nf_name), ProfilingCollector(nic), seed=seed)
-    return predictor.train(
-        quota=quota, traffic_aware=traffic_aware, quantize_bins=quantize_bins
-    )
+    return predictor.train(quota=quota, traffic_aware=traffic_aware)
 
 
 class YalaSystem:
@@ -536,7 +481,6 @@ class YalaSystem:
         seed: SeedLike = None,
         quota: int = 400,
         traffic_aware: bool = True,
-        quantize_bins: Optional[int] = None,
     ) -> None:
         self._nic = nic
         self._collector = ProfilingCollector(nic)
@@ -544,9 +488,6 @@ class YalaSystem:
         self._seed = base if base is not None else 0x1A1A
         self._quota = quota
         self._traffic_aware = traffic_aware
-        # Opt-in quantized memory-model training for large batch-profiled
-        # sweeps (lossy; see MemoryContentionModel). Default: bit-exact.
-        self._quantize_bins = quantize_bins
         self._predictors: dict[str, YalaPredictor] = {}
 
     @property
@@ -570,9 +511,7 @@ class YalaSystem:
 
         Training profiles through the collector's batch paths
         (``profile_many`` over the accelerator-calibration and
-        pattern-detection grids), and a system built with
-        ``quantize_bins=K`` trains every NF's memory model in the
-        quantized histogram mode end to end.
+        pattern-detection grids).
         """
         pending = [name for name in nf_names if name not in self._predictors]
         if jobs > 1 and len(pending) > 1:
@@ -587,7 +526,6 @@ class YalaSystem:
                         derive_seed(self._seed, name),
                         self._quota,
                         self._traffic_aware,
-                        self._quantize_bins,
                     )
                     for name in pending
                 }
@@ -628,11 +566,7 @@ class YalaSystem:
         predictor = YalaPredictor(
             make_nf(nf_name), self._collector, seed=seed_int
         )
-        predictor.train(
-            quota=self._quota,
-            traffic_aware=self._traffic_aware,
-            quantize_bins=self._quantize_bins,
-        )
+        predictor.train(quota=self._quota, traffic_aware=self._traffic_aware)
         self._predictors[nf_name] = predictor
         return predictor
 

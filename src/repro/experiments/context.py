@@ -183,8 +183,3 @@ def get_context(
     if train_jobs > 1:
         context.target(train_jobs=train_jobs)
     return context
-
-
-def clear_contexts() -> None:
-    """Drop cached contexts (tests use this to control memory)."""
-    _CONTEXTS.clear()

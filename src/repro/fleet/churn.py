@@ -48,10 +48,6 @@ class ServiceRequest:
         if self.departure_epoch <= self.arrival_epoch:
             raise ConfigurationError("departure must come after arrival")
 
-    @property
-    def lifetime_epochs(self) -> int:
-        return self.departure_epoch - self.arrival_epoch
-
 
 class ChurnProcess:
     """Seeded arrival/departure schedule over the NF catalog."""

@@ -403,10 +403,6 @@ class Cluster:
         """
         return self._in_flight.get(instance_id)
 
-    @property
-    def in_flight_migrations(self) -> tuple[TimedMigration, ...]:
-        return tuple(self._in_flight.values())
-
     # ------------------------------------------------------------------
     def place(self, instance: ServiceInstance, nic_id: int | None = None) -> int:
         """Place ``instance`` on NIC ``nic_id`` (``None`` = a new NIC)."""

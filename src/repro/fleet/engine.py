@@ -409,7 +409,6 @@ def _score_cluster(
     score_mode: str,
     runtime: Runtime,
     now: float,
-    seed: int = 0,
     obs: Recorder = NULL_RECORDER,
     telemetry: Optional[TelemetryAccumulator] = None,
     warm_start: bool = False,
@@ -419,16 +418,16 @@ def _score_cluster(
 
     Gathers every uncached multi-resident mix, groups the work **by
     pod** (the cluster's :class:`~repro.fleet.topology.Topology`; the
-    flat default is one pod) into :class:`PodScoreTask`\\ s — each
-    carrying its pod-derived seed — and hands the task list to the
-    execution ``runtime``: the serial oracle solves pods in-process
-    (``batch`` mode: one :meth:`SmartNic.run_batch` call per hardware
-    target per pod; ``loop`` mode: per-scenario :meth:`SmartNic.run`
-    calls, the bit-exactness oracle), the process runtime farms whole
-    pods to workers. Results merge deterministically: per-pod partials
-    are re-assembled in (pod, discovery) order and cache entries are
-    written by the parent in the NIC-scan discovery order, so reports
-    are byte-identical at any runtime and worker count. Solo baselines
+    flat default is one pod) into :class:`PodScoreTask`\\ s and hands
+    the task list to the execution ``runtime``: the serial oracle solves
+    pods in-process (``batch`` mode: one :meth:`SmartNic.run_batch` call
+    per hardware target per pod; ``loop`` mode: per-scenario
+    :meth:`SmartNic.run` calls, the bit-exactness oracle), the process
+    runtime farms whole pods to workers. Results merge
+    deterministically: per-pod partials are re-assembled in (pod,
+    discovery) order and cache entries are written by the parent in the
+    NIC-scan discovery order, so reports are byte-identical at any
+    runtime and worker count. Solo baselines
     come from the collector caches; a mix is cached per (target, mix)
     since the same resident set performs differently on different
     hardware — and because the cache persists across observation
@@ -521,7 +520,6 @@ def _score_cluster(
         tasks = [
             PodScoreTask(
                 pod_id=pod,
-                seed=topology.pod_seed(seed, pod),
                 mixes=tuple(
                     (target, tuple(keys)) for target, keys in groups.items()
                 ),
@@ -961,10 +959,6 @@ class EventEngine:
         self._warm_start = bool(warm_start)
 
     @property
-    def policy_name(self) -> str:
-        return self._policy.name
-
-    @property
     def config(self) -> EventConfig:
         return self._config
 
@@ -1326,7 +1320,7 @@ class EventEngine:
         with obs.span(t, "phase.score"):
             drops, throughputs = _score_cluster(
                 cluster, self._model, self._targets, state.mix_cache,
-                self._score_mode, self._runtime, t, seed=self._churn.seed,
+                self._score_mode, self._runtime, t,
                 obs=obs, telemetry=state.telemetry,
                 warm_start=self._warm_start, warm_cache=state.warm_cache,
             )

@@ -186,10 +186,6 @@ class PlacementModel:
             ) from None
 
     @property
-    def default_target(self) -> str:
-        return self._default
-
-    @property
     def target_names(self) -> tuple[str, ...]:
         """Registered targets, default first (registration order)."""
         return tuple(self._targets)

@@ -23,15 +23,10 @@ shared stream, and ``run_batch`` is bit-identical to per-scenario
 Workers receive pickled copies of the engine's own simulators, so a
 scenario solves to the identical float no matter which worker (or the
 parent) executes it, and no matter how scenarios are grouped into
-batches. Each :class:`PodScoreTask` additionally carries a per-pod
-derived seed (:meth:`Topology.pod_seed
-<repro.fleet.topology.Topology.pod_seed>`) — keyed to the *pod*, never
-the worker — so future pod-local stochastic refinements inherit the
-same guarantee, exactly like ``YalaSystem.train(jobs=)``'s per-NF
-derived seeds. The merge is deterministic because results are
-re-assembled in task order and every cache insert happens in the parent
-in a fixed iteration order. Net contract, enforced by tier-1: **same
-seed ⇒ byte-identical reports at any runtime and any worker count.**
+batches. The merge is deterministic because results are re-assembled in
+task order and every cache insert happens in the parent in a fixed
+iteration order. Net contract, enforced by tier-1: **same seed ⇒
+byte-identical reports at any runtime and any worker count.**
 
 Naming: worker-process counts are called ``jobs`` everywhere in this
 repo (the experiment runner's ``--jobs``, ``YalaSystem.train(jobs=)``,
@@ -75,8 +70,6 @@ class PodScoreTask:
     """
 
     pod_id: int
-    #: Per-pod derived seed (pure in ``(seed, pod_id)``; see module doc).
-    seed: int
     mixes: tuple[tuple[str, tuple[tuple, ...]], ...]
     #: Warm-start payload, aligned with ``mixes``: one tuple per
     #: ``(target, mix_keys)`` group holding, per mix key, either

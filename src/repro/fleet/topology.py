@@ -18,13 +18,6 @@ spin-ups:
 - ``Topology()`` — the *flat* default: one pod, byte-identical
   behaviour to the pre-topology fleet.
 
-Each pod also carries a derived seed (:meth:`Topology.pod_seed`,
-``derive_seed(seed, "pod", pod_id)``) — the same trick as
-:meth:`YalaSystem.train(jobs=) <repro.core.predictor.YalaSystem.train>`:
-any stochastic stream a pod's scoring ever needs is keyed to the *pod*,
-never to the worker process that happens to execute it, so reports stay
-byte-identical at any runtime/worker count.
-
 Placement policies consult the topology to prefer **pod-local
 migrations** (cross-pod moves copy service state across the fabric, so
 they can carry a longer timed-migration duration — see
@@ -46,7 +39,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import ConfigurationError
-from repro.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.cluster import FleetNic, MigrationRecord
@@ -106,16 +98,6 @@ class Topology:
         if pod_id < 0:
             raise ConfigurationError("pod_id must be >= 0")
         return pod_id // self.pods_per_rack
-
-    def pod_seed(self, seed: int, pod_id: int) -> int:
-        """Derived seed of one pod's scoring streams.
-
-        Keyed to the pod — never to the worker process executing it —
-        so any pod-local stochastic stream is identical at every
-        runtime/worker count (the :meth:`YalaSystem.train(jobs=)
-        <repro.core.predictor.YalaSystem.train>` trick).
-        """
-        return derive_seed(seed, "pod", pod_id)
 
     # ------------------------------------------------------------------
     def partition(

@@ -23,8 +23,9 @@ Three split finders are available:
   ``bincount`` over all features at once and ranks boundaries by the
   algebraically equivalent score ``L²/n_L + R²/n_R``. Same splits as
   the reference up to floating-point tie-breaks, and far faster when
-  feature cardinality is below the sample count — the boosting hot
-  path for counter-style data.
+  feature cardinality is below the sample count. No production fit
+  uses it (the memory model trains with ``"vectorized"``); it is the
+  fit arm of ``benchmarks/test_perf_training.py``.
 - ``"reference"``: the original per-feature loop, kept as the
   equivalence oracle for tests and the perf benchmark.
 

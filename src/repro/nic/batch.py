@@ -56,8 +56,8 @@ scalar solver's left-to-right order.
 
 Per-scenario damping schedules and convergence masks let finished
 scenarios freeze (their state rows stop updating) while stragglers keep
-iterating; once at least half of a group's rows have converged the
-arrays are compacted to the survivors, so a mixed-convergence batch
+iterating; once at least an eighth of a group's rows have converged
+the arrays are compacted to the survivors, so a mixed-convergence batch
 costs what its stragglers need, not ``max_iterations * n_scenarios``.
 """
 
@@ -116,9 +116,11 @@ def _pow_scalar(values: np.ndarray, exponent: float) -> np.ndarray:
 # Persistent compilation cache
 # ----------------------------------------------------------------------
 #: Per-table entry cap. On overflow the table is cleared wholesale
-#: rather than LRU-evicted: eviction bookkeeping would cost more than
-#: the occasional recompile, and a fleet epoch's working set of
-#: structures is orders of magnitude below this.
+#: rather than LRU-evicted, so eviction costs no bookkeeping. A large
+#: fleet outgrows it: each arm of the 1,000-NIC warm-start gate in
+#: ``benchmarks/test_perf_incremental.py`` builds 38,595 plans, because
+#: the plan table is cleared every 4,096 entries and unchanged residents
+#: are compiled again.
 _COMPILE_CACHE_MAX_ENTRIES = 4096
 
 

@@ -108,12 +108,6 @@ class WorkloadResult:
     miss_ratio: float
     llc_occupancy_bytes: float
 
-    def stage_by_name(self, name: str) -> StageReport:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class RunResult:

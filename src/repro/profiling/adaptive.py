@@ -80,11 +80,6 @@ class AdaptiveProfilingReport:
     samples_used: int
     regions_split: int = 0
 
-    @property
-    def profiling_cost(self) -> int:
-        """Number of profiled samples (the paper's cost unit)."""
-        return self.samples_used
-
 
 class AdaptiveProfiler:
     """Algorithm 1: prune attributes, then adaptively sample ranges."""

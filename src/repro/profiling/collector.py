@@ -401,7 +401,3 @@ class ProfilingCollector:
                 if isinstance(outcome, Exception):
                     raise outcome
         return results
-
-    def reset_counters(self) -> None:
-        """Reset the profiling-cost counter (caches are kept)."""
-        self._profile_count = 0

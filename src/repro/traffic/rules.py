@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.numeric import left_sum
-from repro.rng import SeedLike, make_rng
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,6 @@ class RuleSet:
     def average_complexity(self) -> float:
         """Mean per-match processing weight across rules."""
         return left_sum(r.complexity for r in self._rules) / len(self._rules)
-
-    def pick(self, rng_seed: SeedLike = None) -> RegexRule:
-        """Draw a random rule (used when planting matches)."""
-        rng = make_rng(rng_seed)
-        return self._rules[int(rng.integers(0, len(self._rules)))]
 
 
 def l7_filter_ruleset() -> RuleSet:

@@ -279,14 +279,6 @@ class TestJointPlanProperties:
                     st.lists(_nf_competitors, max_size=3),
                     st.lists(_benches, max_size=2),
                 ).flatmap(lambda parts: st.permutations(parts[0] + parts[1])),
-                st.one_of(
-                    st.none(),
-                    st.dictionaries(
-                        st.integers(0, 3),
-                        st.sampled_from([1e-6, 0.05, 0.5, 3.0]),
-                        max_size=3,
-                    ),
-                ),
             ),
             min_size=1,
             max_size=4,
@@ -299,14 +291,10 @@ class TestJointPlanProperties:
     ):
         predictor = accel_system.predictor_of(target)
         system = accel_system if with_system else None
-        batched = predictor.predict_many(
-            [(traffic, competitors) for traffic, competitors, _ in requests],
-            system=system,
-            competitor_rates=[rates for _, _, rates in requests],
-        )
+        batched = predictor.predict_many(requests, system=system)
         looped = [
-            predictor.predict(traffic, competitors, system, rates)
-            for traffic, competitors, rates in requests
+            predictor.predict(traffic, competitors, system)
+            for traffic, competitors in requests
         ]
         assert batched == looped
 

@@ -2,10 +2,10 @@
 
 Covers the PR's topology contract: pod membership is a pure function
 of the NIC id (round-robin for ``pods=N``, sequential fill for
-``pod_size=K``, flat default), pod seeds are derived per pod (never
-per worker), cross-pod moves carry their own timed-migration duration,
-and the rebalance policy's pod-local preference strictly reduces
-cross-pod migrations on a churn-heavy workload.
+``pod_size=K``, flat default), cross-pod moves carry their own
+timed-migration duration, and the rebalance policy's pod-local
+preference strictly reduces cross-pod migrations on a churn-heavy
+workload.
 """
 
 import pytest
@@ -83,20 +83,6 @@ class TestLayout:
             "pods_per_rack": 8,
         }
         assert Topology(**topo.to_dict()) == topo
-
-
-class TestPodSeeds:
-    def test_deterministic_and_distinct_per_pod(self):
-        topo = Topology(pods=4)
-        seeds = [topo.pod_seed(2025, pod) for pod in range(4)]
-        assert seeds == [topo.pod_seed(2025, pod) for pod in range(4)]
-        assert len(set(seeds)) == 4
-
-    def test_keyed_to_pod_not_layout(self):
-        # The derivation depends only on (seed, pod_id): two layouts
-        # agree wherever their pod ids coincide, so re-partitioning a
-        # fleet never perturbs the streams of unchanged pods.
-        assert Topology(pods=2).pod_seed(7, 1) == Topology(pod_size=3).pod_seed(7, 1)
 
 
 def _instance(n: int) -> ServiceInstance:
