@@ -16,19 +16,25 @@ The batch engine is required to reproduce the scalar solver
 bottleneck labels, iteration counts and the seeded measurement noise.
 That drives three design rules:
 
-1. **Vectorize across scenarios, loop over structure.** All reductions
-   in the scalar solver run over small per-scenario collections (stages,
-   memory actors, accelerator clients) whose float-addition order is
-   observable. Those stay as Python loops over vectorized columns, so
-   each scenario sees exactly the scalar sequence of IEEE operations;
-   only the scenario axis (the large one) is array-shaped.
-2. **Group by structure.** Scenarios are bucketed by a structural
-   signature (workload patterns, stage layouts, accelerator usage, DMA
-   actors) so that every scenario in a group shares the same set of
-   arrays and the same control-flow skeleton. The one reduction the
-   scalar solver performs with ``np.sum`` (occupancy pressure) is
-   evaluated per equal-hungry-mask row group on contiguous column
-   slices, which reproduces numpy's pairwise summation exactly.
+1. **Group by structure; vectorize across scenarios and structure.**
+   Scenarios are bucketed by a structural signature (workload
+   patterns, stage layouts, accelerator usage, DMA actors), so a group
+   shares one set of arrays and one control-flow skeleton. The scalar
+   solver reduces over small per-scenario collections (stages, memory
+   actors, accelerator clients) whose float-addition order is
+   observable. A sweep holds them as padded ``(rows, workloads,
+   stages)`` and ``(rows, actors)`` arrays and sums each with a left
+   fold along the collection axis (``np.add.accumulate``), the scalar
+   order; padding adds exact ``+0.0`` terms (every term is
+   non-negative). So a sweep is a fixed set of array operations
+   whatever the group's width.
+2. **Replay ``np.sum``'s pairwise order.** The one reduction the scalar
+   solver performs with ``np.sum`` (the hungry actors' occupancy
+   pressure) is NumPy's pairwise summation: one term at a time below
+   eight terms, eight running lanes over full blocks of eight above.
+   :func:`_hungry_totals` packs each row's hungry columns to the left
+   and replays that order on every row at once
+   (``tests/nic/test_sweep_numerics.py`` pins it to ``np.sum``).
 3. **Scalar libm where numpy's SIMD differs.** ``x ** 0.7`` in the
    occupancy solver goes through ``math.pow`` per element: numpy's
    vectorized ``pow`` is 1 ulp off libm's scalar ``pow`` for some
@@ -64,6 +70,7 @@ costs what its stragglers need, not ``max_iterations * n_scenarios``.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -105,11 +112,11 @@ def _pow_scalar(values: np.ndarray, exponent: float) -> np.ndarray:
     Bit-identical to Python's ``float ** float`` (the scalar solver's
     path); numpy's SIMD pow kernel rounds differently on ~5% of inputs.
     """
-    flat = values.ravel()
-    out = np.array(
-        [math.pow(v, exponent) for v in flat.tolist()], dtype=np.float64
-    )
-    return out.reshape(values.shape)
+    return np.fromiter(
+        map(math.pow, values.ravel().tolist(), repeat(exponent)),
+        np.float64,
+        values.size,
+    ).reshape(values.shape)
 
 
 # ----------------------------------------------------------------------
@@ -188,33 +195,41 @@ def clear_compile_cache() -> None:
 # ----------------------------------------------------------------------
 # Compilation: scenario -> static plan
 # ----------------------------------------------------------------------
+#: The per-workload scalars of ``_WorkloadPlan.lane_row``, in order.
+_LANE_FIELDS = (
+    "cores",
+    "arrival",
+    "line_rate",
+    "reads_sum",
+    "writes_sum",
+    "instr_sum",
+    "cycles_sum",
+    "wss",
+    "hot_af",
+    "hot_wf",
+)
+#: A dummy lane's scalars: zero demand everywhere.
+_DUMMY_LANE = (0.0,) * len(_LANE_FIELDS)
+#: A padded core stage ``(cycles, reads + writes, mlp)``: its time is
+#: exactly ``0.0``.
+_CORE_PAD = ((0.0, 0.0, 1.0),)
+#: A padded or absent accelerator slot ``(requests, t_eff, queues, KiB
+#: per request, DMA refs per KiB)``: zero demand.
+_SLOT_PAD = (0.0,) * 5
+
+
 class _WorkloadPlan:
     """Static (throughput-independent) data of one workload demand."""
 
     __slots__ = (
         "demand",
         "name",
-        "cores_f",
         "pattern",
         "n_core",
-        "core_cycles",
-        "core_rw",
-        "core_mlp",
-        "reads_sum",
-        "writes_sum",
-        "instr_sum",
-        "cycles_sum",
-        "wss",
-        "hot_af",
-        "hot_wf",
-        "arrival",
-        "line_rate",
+        "lane_row",
+        "core_rows",
+        "slot_rows",
         "accel_names",
-        "accel_req",
-        "accel_teff",
-        "accel_nq",
-        "accel_bpk",
-        "accel_refs",
         "dma_flag",
         "stage_kinds",
         "stage_labels",
@@ -228,41 +243,44 @@ class _WorkloadPlan:
         accel = w.accelerator_stages()
         self.demand = w
         self.name = w.name
-        self.cores_f = float(w.cores)
         self.pattern = w.pattern
         self.n_core = len(core)
-        self.core_cycles = [s.cycles_pp for s in core]
-        self.core_rw = [s.reads_pp + s.writes_pp for s in core]
-        self.core_mlp = [s.mlp for s in core]
-        self.reads_sum = left_sum(s.reads_pp for s in core)
-        self.writes_sum = left_sum(s.writes_pp for s in core)
-        self.instr_sum = left_sum(s.instructions_pp for s in w.stages)
-        self.cycles_sum = left_sum(s.cycles_pp for s in w.stages)
-        self.wss = w.total_wss_bytes()
-        self.hot_af = w.hot_access_fraction
-        self.hot_wf = w.hot_wss_fraction
-        self.arrival = (
-            w.arrival_rate_mpps if w.arrival_rate_mpps is not None else np.inf
+        self.lane_row = (
+            float(w.cores),
+            w.arrival_rate_mpps if w.arrival_rate_mpps is not None else np.inf,
+            spec.line_rate_mpps(w.packet_size_bytes),
+            left_sum(s.reads_pp for s in core),
+            left_sum(s.writes_pp for s in core),
+            left_sum(s.instructions_pp for s in w.stages),
+            left_sum(s.cycles_pp for s in w.stages),
+            w.total_wss_bytes(),
+            w.hot_access_fraction,
+            w.hot_wss_fraction,
         )
-        self.line_rate = spec.line_rate_mpps(w.packet_size_bytes)
-        self.accel_names = tuple(s.accelerator for s in accel)
-        self.accel_req = [s.requests_pp for s in accel]
-        self.accel_teff = [
-            spec.accelerator(s.accelerator).request_time_us(
-                s.bytes_per_request, s.matches_per_request
+        self.core_rows = tuple(
+            (s.cycles_pp, s.reads_pp + s.writes_pp, s.mlp) for s in core
+        )
+        slot_rows = []
+        for s in accel:
+            engine = spec.accelerator(s.accelerator)
+            slot_rows.append(
+                (
+                    s.requests_pp,
+                    engine.request_time_us(
+                        s.bytes_per_request, s.matches_per_request
+                    )
+                    + engine.queue_switch_us,
+                    float(w.queues_for(s.accelerator)),
+                    s.bytes_per_request / 1024.0,
+                    engine.dma_refs_per_kb,
+                )
             )
-            + spec.accelerator(s.accelerator).queue_switch_us
-            for s in accel
-        ]
-        self.accel_nq = [float(w.queues_for(s.accelerator)) for s in accel]
-        self.accel_bpk = [s.bytes_per_request / 1024.0 for s in accel]
-        self.accel_refs = [
-            spec.accelerator(s.accelerator).dma_refs_per_kb for s in accel
-        ]
+        self.slot_rows = tuple(slot_rows)
+        self.accel_names = tuple(s.accelerator for s in accel)
         # The DMA memory actor exists exactly when some accelerator
         # stage produces a positive DMA reference rate (rates are > 0).
         self.dma_flag = any(
-            b > 0.0 and r > 0.0 for b, r in zip(self.accel_bpk, self.accel_refs)
+            bpk > 0.0 and refs > 0.0 for *_, bpk, refs in slot_rows
         )
         # Stage layout in declaration order: ("c", core_idx) for
         # CPU/MEMORY stages, ("a", accel_idx) for accelerator stages.
@@ -595,51 +613,97 @@ def _validate(nic: "_nic.SmartNic", workloads: list[WorkloadDemand]):
 # ----------------------------------------------------------------------
 # Row-parallel kernels
 # ----------------------------------------------------------------------
-def _pipeline_rate(
-    n: int,
-    cores: np.ndarray,
-    n_core: int,
-    core_times: list[np.ndarray],
-    accel_caps: list[np.ndarray],
-) -> np.ndarray:
-    """Pipeline throughput: the slowest stage (scalar ``_compose``)."""
-    share = cores / max(1, n_core)
-    result = None
-    for t in core_times:
-        positive = t > 0.0
-        cap = np.where(positive, share / np.where(positive, t, 1.0), np.inf)
-        result = cap if result is None else np.minimum(result, cap)
-    for cap in accel_caps:
-        result = cap if result is None else np.minimum(result, cap)
-    return np.zeros(n) if result is None else result
+#: Lanes of NumPy's pairwise summation (``pairwise_sum`` in its C
+#: loops): one running sum per position in each full block of 8 terms.
+_PAIRWISE_LANES = 8
+#: Above this many terms NumPy's pairwise summation recurses on halves.
+_PAIRWISE_BLOCK = 128
 
 
-def _rtc_rate(
-    n: int,
-    cores: np.ndarray,
-    core_times: list[np.ndarray],
-    accel_caps: list[np.ndarray],
-) -> np.ndarray:
-    """Run-to-completion throughput: cores over the summed stage times."""
-    total_core = np.zeros(n)
-    for t in core_times:
-        total_core = total_core + t
-    accel_wait = np.zeros(n)
-    for cap in accel_caps:
-        positive = cap > 0.0
-        accel_wait = accel_wait + np.where(
-            positive, cores / np.where(positive, cap, 1.0), 0.0
+def _left_fold(terms: np.ndarray) -> np.ndarray:
+    """``((t0 + t1) + t2) + ...`` along the last axis, one term at a time.
+
+    The scalar solver's folds (``left_sum``, ``+=`` loops) start from
+    ``0``; every term folded here is non-negative, and ``0 + t0 == t0``
+    exactly then. An empty axis folds to ``0.0``.
+    """
+    if terms.shape[-1] == 0:
+        return np.zeros(terms.shape[:-1])
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def _drain(start: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """``((start - t0) - t1) - ...`` per row, in column order.
+
+    The scalar occupancy solver's ``remaining -= need`` over a round's
+    satisfied actors; a ``+0.0`` for every other actor subtracts
+    nothing.
+    """
+    return np.subtract.accumulate(
+        np.concatenate((start[:, None], taken), axis=1), axis=1
+    )[:, -1]
+
+
+def _hungry_totals(pressure: np.ndarray, hungry: np.ndarray) -> np.ndarray:
+    """Per row ``i``, ``np.sum(pressure[i][hungry[i]])`` bit for bit.
+
+    The scalar solver totals its hungry actors' pressures with
+    ``np.sum``, NumPy's pairwise summation. Over ``k`` terms it keeps
+    one running sum per lane over the ``k // 8`` full blocks of eight,
+    combines the lanes as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` (all
+    ``0.0`` when ``k < 8``) and adds the ``k % 8`` other terms one at a
+    time; above :data:`_PAIRWISE_BLOCK` terms it recurses on halves.
+    This replays that order on every row at once: the hungry columns
+    are packed to the left, in order, and every term outside a row's
+    lanes or tail is an exact ``+0.0``, as pressures are non-negative
+    (so is the reduction's leading ``0.0`` identity). Rows above
+    :data:`_PAIRWISE_BLOCK` terms take ``np.sum`` of their packed row.
+    With fewer than eight columns every row is all tail: one left fold.
+    """
+    terms = np.where(hungry, pressure, 0.0)
+    rows, cols = terms.shape
+    lanes = _PAIRWISE_LANES
+    if cols < lanes:
+        return _left_fold(terms)
+    if hungry.all():
+        packed, counts = terms, np.full(rows, cols)
+        edge = cols - cols % lanes
+    else:
+        order = np.argsort(~hungry, axis=1, kind="stable")
+        packed = terms[np.arange(rows)[:, None], order]
+        counts = hungry.sum(axis=1)
+        edge = (counts - counts % lanes)[:, None]
+    blocks = -(-cols // lanes)
+    if blocks * lanes > cols:
+        packed = np.concatenate(
+            (packed, np.zeros((rows, blocks * lanes - cols))), axis=1
         )
-    denom = total_core + accel_wait
-    positive = denom > 0.0
-    return np.where(positive, cores / np.where(positive, denom, 1.0), np.inf)
+    # in_lane: the term sits in one of the row's full blocks.
+    in_lane = np.arange(blocks * lanes) < edge
+    r = _left_fold(
+        np.where(in_lane, packed, 0.0)
+        .reshape(rows, blocks, lanes)
+        .transpose(0, 2, 1)
+    )
+    r = r[:, 0::2] + r[:, 1::2]
+    r = r[:, 0::2] + r[:, 1::2]
+    totals = _left_fold(
+        np.concatenate(
+            ((r[:, 0] + r[:, 1])[:, None], np.where(in_lane, 0.0, packed)),
+            axis=1,
+        )
+    )
+    if cols > _PAIRWISE_BLOCK:
+        for row in np.flatnonzero(counts > _PAIRWISE_BLOCK):
+            totals[row] = np.sum(packed[row, : counts[row]])
+    return totals
 
 
 def _stacked_waterfill(
-    teff: list[np.ndarray],
-    nq: list[np.ndarray],
-    offered: list[np.ndarray],
-    present: list[Optional[np.ndarray]],
+    teff: np.ndarray,
+    nq: np.ndarray,
+    offered: np.ndarray,
+    present: Optional[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every client's closed-loop capacity on one engine, in one fill.
 
@@ -654,37 +718,31 @@ def _stacked_waterfill(
     competitor fold, and ``np.add.accumulate`` adds along the client
     axis one term at a time.
 
-    ``present[j]`` (``None``: every row) marks the rows where client
-    ``j`` exists. An absent client has zero demand: it adds ``+0.0``
-    everywhere and never saturates. Its own block starts done: a dummy
-    target anchors the weight fold at zero, which lets rounds oscillate
-    to the cap, and blocks are independent, so skipping it changes no
-    other block. Returns the ``(client, row)`` request rates and the
-    rows whose fill of a present client did not settle.
+    ``teff``, ``nq`` and ``offered`` are ``(client, row)`` arrays.
+    ``present[j]`` (``None``: every client in every row) marks the rows
+    where client ``j`` exists. An absent client has zero demand: it
+    adds ``+0.0`` everywhere and never saturates. Its own block starts
+    done: a dummy target anchors the weight fold at zero, which lets
+    rounds oscillate to the cap, and blocks are independent, so
+    skipping it changes no other block. Returns the ``(client, row)``
+    request rates and the rows whose fill of a present client did not
+    settle.
     """
-    n = len(teff)
-    rows = len(teff[0])
+    n, rows = teff.shape
     if n == 1:
         # allocate() with one closed-loop client resolves in one
         # round: spare = 1.0, weight = t_eff * n_queues.
-        rate = nq[0] * (1.0 / (teff[0] * nq[0]))
-        return rate[None, :], np.zeros(rows, dtype=bool)
-    t_eff = np.array(teff)
-    queues = np.array(nq)
-    load = np.array(offered)
-    busy_terms = (load * t_eff)[:, None, :]
-    weight_terms = t_eff * queues
+        return nq * (1.0 / (teff * nq)), np.zeros(rows, dtype=bool)
+    busy_terms = (offered * teff)[:, None, :]
+    weight_terms = teff * nq
     own = np.eye(n, dtype=bool)[:, :, None]  # own[j, t]: j is target t
     sat = np.repeat(own, rows, axis=2)
-    done = np.zeros((n, rows), dtype=bool)
-    for j, mask in enumerate(present):
-        if mask is not None:
-            done[j] = ~mask
+    done = np.zeros((n, rows), dtype=bool) if present is None else ~present
     rate = np.ones((n, rows))
     folds = np.empty((n + 1, n, rows))
     folds[0] = weight_terms
-    load = load[:, None, :]
-    queues_b = queues[:, None, :]
+    load = offered[:, None, :]
+    queues_b = nq[:, None, :]
     for _ in range(_WATERFILL_ITERATIONS):
         act = ~done
         if not act.any():
@@ -703,72 +761,79 @@ def _stacked_waterfill(
         releases = (act & ~moved) & sat & ~own & (load < fair - 1e-12)
         sat &= ~releases
         final = act & ~moved & ~releases.any(axis=0)
-        rate = np.where(final, queues * per_queue, rate)
+        rate = np.where(final, nq * per_queue, rate)
         done |= final
     return rate, ~done.all(axis=0)
 
 
-class _View:
-    """The group's static arrays restricted to one set of rows.
+#: The per-row arrays of a group, each with the row axis first. ``W``
+#: is the group's column count, ``C`` and ``M`` the most core stages
+#: and accelerator slots of any column, ``U`` the longest column stage
+#: layout and ``A`` the memory-actor count.
+_ROW_FIELDS = (
+    # (rows, W)
+    "lane",  # a real workload sits in the column
+    "pipe",  # pipeline pattern (else run to completion)
+    "cores",
+    "share",  # cores per core stage (pipeline stage capacity numerator)
+    "arrival",
+    "line_rate",
+    "reads_sum",
+    "writes_sum",
+    "instr_sum",
+    "cycles_sum",
+    "wss",
+    # (rows, W, C): padded stages are (cycles 0, rw 0, mlp 1)
+    "core_cpu",  # cycles / core frequency
+    "core_rw",
+    "core_mlp",
+    # (rows, W, M): padded and absent slots hold zero demand
+    "accel_req",
+    "accel_bpk",
+    "accel_refs",
+    "slot_present",
+    # (rows, W, U)
+    "stage_has",  # the row's workload has the column stage
+    # (rows, A)
+    "act_wss",
+    "act_sqrt",
+    "act_haf",
+    "act_caf",  # 1 - hot access fraction
+    "act_hot",
+    "act_cold",
+    "act_hot_any",  # hot bytes > 0
+    "act_cold_any",  # cold bytes > 0
+    "act_idle",  # no working set
+    "act_reads",
+    "act_writes",
+)
 
-    Slices are taken once per compaction event and reused across
-    iterations, so the per-iteration work is purely elementwise.
+
+class _View:
+    """The group's per-row arrays restricted to one set of rows.
+
+    Rows are taken once per compaction event and reused across sweeps,
+    so a sweep's work is elementwise over whole-group arrays. Each
+    engine's stacked client arrays are ``(client, row)``.
     """
 
-    __slots__ = ("wl", "act_wss", "act_sqrt", "act_haf", "act_hot", "act_cold", "engines", "n", "lane")
+    __slots__ = ("n", "engines") + _ROW_FIELDS
 
     def __init__(self, group: "_Group", idx: Optional[np.ndarray]) -> None:
-        def take(arr):
-            return arr if idx is None else arr[idx]
-
         self.n = group.S if idx is None else len(idx)
-        self.lane = take(group.lane)
-        self.act_wss = take(group.act_wss)
-        self.act_sqrt = take(group.act_sqrt)
-        self.act_haf = take(group.act_haf)
-        self.act_hot = take(group.act_hot_bytes)
-        self.act_cold = take(group.act_cold_bytes)
-
-        def take_mask(arr):
-            return None if arr is None else take(arr)
-
-        self.wl = []
-        for data in group.wl:
-            self.wl.append(
-                {
-                    "pattern": data["pattern"],
-                    "pipe": take_mask(data["pipe"]),
-                    "present": [take_mask(p) for p in data["present"]],
-                    "n_core": data["n_core"],
-                    "accel_names": data["accel_names"],
-                    "dma_flag": data["dma_flag"],
-                    "stage_kinds": data["stage_kinds"],
-                    "cores_f": take(data["cores_f"]),
-                    "reads_sum": take(data["reads_sum"]),
-                    "writes_sum": take(data["writes_sum"]),
-                    "instr_sum": take(data["instr_sum"]),
-                    "cycles_sum": take(data["cycles_sum"]),
-                    "wss": take(data["wss"]),
-                    "arrival": take(data["arrival"]),
-                    "line_rate": take(data["line_rate"]),
-                    "core_cycles": [take(a) for a in data["core_cycles"]],
-                    "core_rw": [take(a) for a in data["core_rw"]],
-                    "core_mlp": [take(a) for a in data["core_mlp"]],
-                    "accel_req": [take(a) for a in data["accel_req"]],
-                    "accel_teff": [take(a) for a in data["accel_teff"]],
-                    "accel_nq": [take(a) for a in data["accel_nq"]],
-                    "accel_bpk": [take(a) for a in data["accel_bpk"]],
-                    "accel_refs": [take(a) for a in data["accel_refs"]],
-                }
-            )
+        for name in _ROW_FIELDS:
+            values = group.row_arrays[name]
+            setattr(self, name, values if idx is None else values[idx])
         self.engines = [
-            {
-                "name": engine["name"],
+            engine if idx is None else {
                 "clients": engine["clients"],
-                "teff": [take(a) for a in engine["teff"]],
-                "nq": [take(a) for a in engine["nq"]],
-                "req": [take(a) for a in engine["req"]],
-                "present": [take_mask(p) for p in engine["present"]],
+                "teff": engine["teff"][:, idx],
+                "nq": engine["nq"][:, idx],
+                "req": engine["req"][:, idx],
+                "present": (
+                    None if engine["present"] is None
+                    else engine["present"][:, idx]
+                ),
             }
             for engine in group.engines
         ]
@@ -781,32 +846,29 @@ class _Group:
     """Scenarios solved together as one set of ``(rows, ...)`` arrays.
 
     An *exact* group holds scenarios of one structural signature: every
-    column has one stage layout, pattern and DMA actor, and the solve
-    runs without per-row masks. A *padded* group additionally hosts
-    scenarios through ``embeddings``: each scenario's workloads occupy
-    the columns of its entry, in order, and the remaining columns are
-    dummy lanes whose rates, working sets and accelerator demands are
-    all zero.
+    column has one stage layout, pattern and DMA actor. A *padded* group
+    additionally hosts scenarios through ``embeddings``: each scenario's
+    workloads occupy the columns of its entry, in order, and the
+    remaining columns are dummy lanes whose rates, working sets and
+    accelerator demands are all zero.
 
     A family column (``columns`` given) has a union stage layout
     (:func:`_column_union`) that each of its workloads fits
-    (:func:`_fit`). What varies by row becomes a per-row flag or slot:
+    (:func:`_fit`). What varies by row is a per-row flag or slot: the
+    execution pattern (``pipe``), each accelerator slot
+    (``slot_present``, which also makes the workload an optional client
+    of the slot's engine) and the DMA actor (which exists when any row
+    has one; the others give it zero rates).
 
-    - ``pipe`` (only when the column mixes patterns) selects the
-      pipeline or run-to-completion composition;
-    - ``present[m]`` (only when some row lacks accelerator slot ``m``)
-      marks the rows whose workload has that stage, and the same mask
-      makes the workload an optional client of the slot's engine;
-    - the DMA actor exists when any row has one; the others give it
-      zero rates.
-
-    An absent slot or a dummy lane holds zero demand: it contributes
-    exact ``+0.0`` terms to every left-fold reduction, never turns
-    "hungry" in the occupancy water-filling (so the pairwise ``np.sum``
-    runs over exactly the scalar solver's actor set), never saturates
-    an accelerator water-fill, and its capacity is discarded (read as
-    ``+inf``, which no min or run-to-completion sum can see). That
-    keeps every real lane bit-identical to the scalar solver.
+    Every sweep is a fixed set of array operations over ``(rows,
+    workloads, stages)`` and ``(rows, actors)``, whatever the group's
+    width. Absent slots, padded stages and dummy lanes hold zero demand:
+    they contribute exact ``+0.0`` terms to every left fold, never turn
+    "hungry" in the occupancy water-filling (so its totals sum exactly
+    the scalar solver's actor set), never saturate an accelerator
+    water-fill, and their capacities read ``+inf``, which no pipeline
+    minimum or run-to-completion sum can see. That keeps every real
+    lane bit-identical to the scalar solver.
     """
 
     def __init__(
@@ -838,269 +900,291 @@ class _Group:
         if embeddings is None:
             embeddings = [list(range(self.W))] * self.S
         self.embeddings = embeddings
-        # lane[i, w]: scenario i has a real workload in column w.
-        self.lane = np.zeros((self.S, self.W), dtype=bool)
-        for i, cols in enumerate(embeddings):
-            self.lane[i, cols] = True
-        self._padded = not bool(self.lane.all())
+        # Every _ROW_FIELDS array, row axis first (a _View slices them).
+        self.row_arrays: dict[str, np.ndarray] = {}
         self._build_workload_arrays()
         self._build_actor_layout()
         self._build_engine_layout()
 
     # -- array assembly -------------------------------------------------
-    def _col(self, values: list[float]) -> np.ndarray:
-        return np.array(values, dtype=np.float64)
-
     def _build_workload_arrays(self) -> None:
-        plans = self._plans
-        # Per scenario: column index -> its own workload, for the columns
-        # it occupies; padded scenarios leave the rest as dummy lanes.
-        col_to_wl = [
-            {col: j for j, col in enumerate(cols)} for cols in self.embeddings
+        """Per-workload, per-stage and per-slot arrays, padded."""
+        S, W = self.S, self.W
+        columns = self._columns
+        # cells[i * W + w]: row i's workload plan in column w (None: a
+        # dummy lane).
+        cells: list[Optional[_WorkloadPlan]] = [None] * (S * W)
+        for i, (plan, cols) in enumerate(zip(self._plans, self.embeddings)):
+            for j, w in enumerate(cols):
+                cells[i * W + w] = plan.workloads[j]
+        n_core = [ref.n_core for ref in columns]
+        C = max(n_core)
+        M = max(len(ref.accel_names) for ref in columns)
+        # srcs[k][m]: cell k's accelerator stage in slot m of its column
+        # (None: the cell is a dummy lane, or its workload lacks the
+        # stage, or the column has fewer than M slots).
+        srcs = [
+            (None,) * M if p is None
+            else _fit(p.layout, columns[k % W].layout).slot_src
+            + (None,) * (M - len(columns[k % W].accel_names))
+            for k, p in enumerate(cells)
         ]
-        self.wl: list[dict] = []
-        for w in range(self.W):
-            ref = self._columns[w]
-            ps = [
-                plan.workloads[col_to_wl[i][w]] if w in col_to_wl[i] else None
-                for i, plan in enumerate(plans)
-            ]
-            # srcs[i][m]: row i's accelerator stage in slot m (None: the
-            # row has no workload here, or its workload lacks the stage).
-            srcs = [
-                None if p is None else _fit(p.layout, ref.layout).slot_src
-                for p in ps
-            ]
-            n_accel = len(ref.accel_names)
-            patterns = {p.pattern for p in ps if p is not None}
-            pattern = (
-                patterns.pop() if len(patterns) == 1
-                else ExecutionPattern.RUN_TO_COMPLETION if not patterns
-                else None
-            )
-            present = []
-            for m in range(n_accel):
-                mask = [src is not None and src[m] is not None for src in srcs]
-                present.append(None if all(mask) else np.array(mask))
 
-            # Dummy lanes get all-zero demands (mlp keeps 1.0 — it only
-            # ever divides): zero rates feed zero pressure everywhere.
-            def scalar(attr: str, missing: float = 0.0) -> np.ndarray:
-                return self._col(
-                    [getattr(p, attr) if p is not None else missing for p in ps]
-                )
+        def fields(records, shape: tuple) -> np.ndarray:
+            """Records of ``shape[-1]`` values, cell by cell -> one
+            contiguous ``shape[:-1]`` array per record field."""
+            values = np.fromiter(
+                chain.from_iterable(records), np.float64, math.prod(shape)
+            ).reshape(shape)
+            return np.moveaxis(values, -1, 0).copy()
 
-            def per_core(attr: str, k: int, missing: float = 0.0) -> np.ndarray:
-                return self._col(
-                    [
-                        getattr(p, attr)[k] if p is not None else missing
-                        for p in ps
-                    ]
-                )
-
-            def per_slot(attr: str, m: int) -> np.ndarray:
-                return self._col(
-                    [
-                        0.0 if src is None or src[m] is None
-                        else getattr(p, attr)[src[m]]
-                        for p, src in zip(ps, srcs)
-                    ]
-                )
-
-            data = {
-                "pattern": pattern,
-                "pipe": None if pattern is not None else np.array(
-                    [
-                        p is not None and p.pattern is ExecutionPattern.PIPELINE
-                        for p in ps
-                    ]
+        lane_values = dict(
+            zip(
+                _LANE_FIELDS,
+                fields(
+                    (_DUMMY_LANE if p is None else p.lane_row for p in cells),
+                    (S, W, len(_LANE_FIELDS)),
                 ),
-                "present": present,
-                "n_core": ref.n_core,
-                "accel_names": ref.accel_names,
-                "dma_flag": any(p.dma_flag for p in ps if p is not None),
-                "stage_kinds": ref.stage_kinds,
-                "cores_f": scalar("cores_f"),
-                "reads_sum": scalar("reads_sum"),
-                "writes_sum": scalar("writes_sum"),
-                "instr_sum": scalar("instr_sum"),
-                "cycles_sum": scalar("cycles_sum"),
-                "wss": scalar("wss"),
-                "hot_af": scalar("hot_af"),
-                "hot_wf": scalar("hot_wf"),
-                "arrival": scalar("arrival"),
-                "line_rate": scalar("line_rate"),
-                "core_cycles": [
-                    per_core("core_cycles", k) for k in range(ref.n_core)
-                ],
-                "core_rw": [
-                    per_core("core_rw", k) for k in range(ref.n_core)
-                ],
-                "core_mlp": [
-                    per_core("core_mlp", k, missing=1.0)
-                    for k in range(ref.n_core)
-                ],
-                "accel_req": [per_slot("accel_req", m) for m in range(n_accel)],
-                "accel_teff": [
-                    per_slot("accel_teff", m) for m in range(n_accel)
-                ],
-                "accel_nq": [per_slot("accel_nq", m) for m in range(n_accel)],
-                "accel_bpk": [per_slot("accel_bpk", m) for m in range(n_accel)],
-                "accel_refs": [
-                    per_slot("accel_refs", m) for m in range(n_accel)
-                ],
-            }
-            self.wl.append(data)
+            )
+        )
+        cycles, rw, mlp = fields(
+            chain.from_iterable(
+                _CORE_PAD * C if p is None
+                else p.core_rows + _CORE_PAD * (C - p.n_core)
+                for p in cells
+            ),
+            (S, W, C, 3),
+        )
+        req, teff, nq, bpk, refs = fields(
+            (
+                _SLOT_PAD if s is None else p.slot_rows[s]
+                for p, src in zip(cells, srcs)
+                for s in src
+            ),
+            (S, W, M, 5),
+        )
+        present = np.array(
+            [[s is not None for s in src] for src in srcs], dtype=bool
+        ).reshape(S, W, M)
+        lane = np.array([p is not None for p in cells]).reshape(S, W)
+        pipe = np.array(
+            [
+                p is not None and p.pattern is ExecutionPattern.PIPELINE
+                for p in cells
+            ]
+        ).reshape(S, W)
+
+        rows = self.row_arrays
+        self._padded = not bool(lane.all())
+        self._any_pipe = bool((pipe & lane).any())
+        self._any_rtc = bool((~pipe & lane).any())
+        rows["lane"] = lane
+        rows["pipe"] = pipe
+        # hot_af and hot_wf feed only the actor arrays.
+        self._hot_af = lane_values.pop("hot_af")
+        self._hot_wf = lane_values.pop("hot_wf")
+        rows.update(lane_values)
+        rows["share"] = rows["cores"] / np.maximum(1, n_core)
+        rows["core_cpu"] = cycles / self._spec.core_freq_mhz
+        rows["core_rw"] = rw
+        rows["core_mlp"] = mlp
+        rows["accel_req"] = req
+        rows["accel_bpk"] = bpk
+        rows["accel_refs"] = refs
+        rows["slot_present"] = present
+        self._accel_teff = teff
+        self._accel_nq = nq
+        self._dma_columns = [
+            any(p is not None and p.dma_flag for p in cells[w::W])
+            for w in range(W)
+        ]
+
+        # Column stage u of column w reads entry stage_src[w, u] of the
+        # concatenated (core stages, accelerator slots) axis; padded
+        # stages (u past the column's layout) are never "had".
+        U = max(len(ref.layout) for ref in columns)
+        stage_src = np.zeros((W, U), dtype=np.int64)
+        valid = np.zeros((W, U), dtype=bool)
+        for w, ref in enumerate(columns):
+            for u, (kind, pos) in enumerate(ref.stage_kinds):
+                stage_src[w, u] = pos if kind == "c" else C + pos
+                valid[w, u] = True
+        self._stage_w = np.arange(W)[:, None]
+        self._stage_src = stage_src
+        has = np.concatenate((np.ones((S, W, C), dtype=bool), present), axis=2)
+        rows["stage_has"] = has[:, self._stage_w, stage_src] & valid
+        # A real row lacks some stage of its column: a pipeline bottleneck
+        # tie at +inf must then skip it.
+        self._absent = bool(
+            (valid & ~rows["stage_has"] & lane[:, :, None]).any()
+        )
+
+        # The contention-free accelerator capacities: allocate() with
+        # one closed-loop client in one round: spare = 1.0, weight =
+        # t_eff * n, rate = n * (1 / weight).
+        with np.errstate(all="ignore"):
+            solo = self._accel_nq * (1.0 / (self._accel_teff * self._accel_nq))
+            self._solo_caps = np.where(present, solo / rows["accel_req"], np.inf)
 
     def _build_actor_layout(self) -> None:
         """Memory actors in the scalar solver's order: workload, then DMA."""
         layout: list[tuple[int, bool]] = []
         for w in range(self.W):
             layout.append((w, False))
-            if self.wl[w]["dma_flag"]:
+            if self._dma_columns[w]:
                 layout.append((w, True))
-        self.actors = layout
         self.A = len(layout)
-        llc = self._spec.llc_bytes
-        wss_cols, haf_cols, hwf_cols = [], [], []
-        for w, is_dma in layout:
-            if is_dma:
-                wss_cols.append(np.full(self.S, float(_nic._DMA_BUFFER_BYTES)))
-                haf_cols.append(np.full(self.S, _DMA_HOT_ACCESS_FRACTION))
-                hwf_cols.append(np.full(self.S, _DMA_HOT_WSS_FRACTION))
-            else:
-                wss_cols.append(self.wl[w]["wss"])
-                haf_cols.append(self.wl[w]["hot_af"])
-                hwf_cols.append(self.wl[w]["hot_wf"])
-        self.act_wss = np.column_stack(wss_cols)
-        self.act_haf = np.column_stack(haf_cols)
-        hwf = np.column_stack(hwf_cols)
-        # sqrt(min(wss, llc)) is static; matches np.sqrt on the scalar min.
-        self.act_sqrt = np.sqrt(np.minimum(self.act_wss, llc))
-        self.act_hot_bytes = hwf * self.act_wss
-        self.act_cold_bytes = self.act_wss - self.act_hot_bytes
+        self._act_wl = np.array([w for w, _ in layout], dtype=np.int64)
+        self._act_dma = np.array([is_dma for _, is_dma in layout], dtype=bool)
+        self._dma = bool(self._act_dma.any())
         # Workload -> its own (non-DMA) actor column.
-        self.wl_actor = {
-            w: k for k, (w, is_dma) in enumerate(layout) if not is_dma
-        }
+        self._wl_actor = np.array(
+            [k for k, (_, is_dma) in enumerate(layout) if not is_dma],
+            dtype=np.int64,
+        )
+        rows = self.row_arrays
+        act_wl, act_dma = self._act_wl, self._act_dma
+        wss = np.where(
+            act_dma, float(_nic._DMA_BUFFER_BYTES), rows["wss"][:, act_wl]
+        )
+        hwf = np.where(act_dma, _DMA_HOT_WSS_FRACTION, self._hot_wf[:, act_wl])
+        rows["act_wss"] = wss
+        rows["act_haf"] = np.where(
+            act_dma, _DMA_HOT_ACCESS_FRACTION, self._hot_af[:, act_wl]
+        )
+        # sqrt(min(wss, llc)) is static; matches np.sqrt on the scalar min.
+        rows["act_sqrt"] = np.sqrt(np.minimum(wss, self._spec.llc_bytes))
+        rows["act_caf"] = 1.0 - rows["act_haf"]
+        rows["act_hot"] = hwf * wss
+        rows["act_cold"] = wss - rows["act_hot"]
+        rows["act_hot_any"] = rows["act_hot"] > 0.0
+        rows["act_cold_any"] = rows["act_cold"] > 0.0
+        rows["act_idle"] = wss <= 0.0
+        # A DMA actor's rates come from its accelerator slots instead.
+        rows["act_reads"] = rows["reads_sum"][:, act_wl]
+        rows["act_writes"] = rows["writes_sum"][:, act_wl]
 
     def _build_engine_layout(self) -> None:
-        """Per-engine client structure (scalar ``_accelerator_capacities``)."""
+        """Per-engine stacked clients (scalar ``_accelerator_capacities``).
+
+        ``cap_index[w, m]`` is slot ``m`` of column ``w``'s row in the
+        stacked ``(client, row)`` capacities of every engine, with one
+        last row of ``+inf`` for padded slots.
+        """
+        rows = self.row_arrays
+        M = rows["accel_req"].shape[2]
         self.engines: list[dict] = []
+        cap_index = np.full((self.W, M), -1, dtype=np.int64)
+        stacked = 0
         for accel_name in self._nic._engines:
             # Clients keyed per workload; a later stage on the same
             # engine overwrites the earlier one (dict-update semantics
-            # of the scalar code), so each client uses its *last* slot.
+            # of the scalar code), so each client uses its *last* slot,
+            # and every slot of the engine reads that client's capacity.
             clients: list[int] = []
             slots: list[int] = []
-            for w in range(self.W):
-                names = self.wl[w]["accel_names"]
-                if accel_name in names:
-                    clients.append(w)
-                    slots.append(len(names) - 1 - names[::-1].index(accel_name))
+            for w, ref in enumerate(self._columns):
+                names = ref.accel_names
+                if accel_name not in names:
+                    continue
+                for m, name in enumerate(names):
+                    if name == accel_name:
+                        cap_index[w, m] = stacked + len(clients)
+                clients.append(w)
+                slots.append(len(names) - 1 - names[::-1].index(accel_name))
             if not clients:
                 continue
-            pairs = list(zip(clients, slots))
+            stacked += len(clients)
+
+            def stack(values: np.ndarray) -> np.ndarray:
+                return np.ascontiguousarray(values[:, clients, slots].T)
+
+            present = stack(rows["slot_present"])
             self.engines.append(
                 {
-                    "name": accel_name,
-                    "clients": clients,
-                    "teff": [self.wl[w]["accel_teff"][m] for w, m in pairs],
-                    "nq": [self.wl[w]["accel_nq"][m] for w, m in pairs],
-                    "req": [self.wl[w]["accel_req"][m] for w, m in pairs],
-                    "present": [self.wl[w]["present"][m] for w, m in pairs],
+                    "clients": np.array(clients, dtype=np.int64),
+                    "teff": stack(self._accel_teff),
+                    "nq": stack(self._accel_nq),
+                    "req": stack(rows["accel_req"]),
+                    "present": None if present.all() else present,
                 }
             )
+        cap_index[cap_index < 0] = stacked
+        self._cap_index = cap_index
 
     # -- fixed-point pieces ---------------------------------------------
     def _memory_pressures(
         self, view: _View, thr: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-actor cache read/write rates at current throughputs."""
-        reads = np.empty((view.n, self.A))
-        writes = np.empty((view.n, self.A))
-        for k, (w, is_dma) in enumerate(self.actors):
-            data = view.wl[w]
-            rate = thr[:, w]
-            if not is_dma:
-                reads[:, k] = data["reads_sum"] * rate
-                writes[:, k] = data["writes_sum"] * rate
-            else:
-                dma = np.zeros(view.n)
-                for m in range(len(data["accel_names"])):
-                    dma = dma + (
-                        (rate * data["accel_req"][m])
-                        * data["accel_bpk"][m]
-                        * data["accel_refs"][m]
-                    )
-                reads[:, k] = dma * 0.5
-                writes[:, k] = dma * 0.5
-        return reads, writes
+    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Per-actor cache read/write rates at current throughputs, and
+        each workload's DMA reference rate when the group has a DMA
+        actor (scalar ``_memory_actors``)."""
+        rate = thr[:, self._act_wl]
+        reads = view.act_reads * rate
+        writes = view.act_writes * rate
+        if not self._dma:
+            return reads, writes, None
+        dma = self._dma_rates(view, thr)
+        half = (dma * 0.5)[:, self._act_wl]
+        return (
+            np.where(self._act_dma, half, reads),
+            np.where(self._act_dma, half, writes),
+            dma,
+        )
+
+    def _dma_rates(self, view: _View, thr: np.ndarray) -> np.ndarray:
+        """``(rows, W)`` DMA reference rates: ``dma_rate = 0.0;
+        dma_rate += rate * req * (bytes / 1024) * refs`` over the
+        workload's accelerator stages in order (padded slots add
+        ``+0.0``)."""
+        return _left_fold(
+            ((thr[:, :, None] * view.accel_req) * view.accel_bpk)
+            * view.accel_refs
+        )
 
     def _solve_occupancy(self, view: _View, access: np.ndarray) -> np.ndarray:
         """Vectorized LLC water-filling (scalar ``solve_occupancy``).
 
-        Rows advance independently; each round, rows sharing the same
-        hungry-actor mask are grouped so the pressure total is an
-        ``np.sum`` over a contiguous column slice — the exact reduction
-        (including numpy's pairwise blocking) the scalar solver runs.
+        Every alive row advances together in each round. A row's hungry
+        total is :func:`_hungry_totals`, the scalar ``np.sum`` replayed
+        bit for bit. A hungry actor's occupancy is still ``+0.0`` (it
+        changes only when the actor leaves the hungry set or its row
+        stops), so its scalar ``need`` is its working set, and ``0.0 +
+        x == x`` is the grant. ``remaining`` drains in the scalar actor
+        order (:func:`_drain`).
         """
-        llc = self._spec.llc_bytes
         wss = view.act_wss
         pressure = _pow_scalar(access, _PRESSURE_RATE_EXPONENT) * view.act_sqrt
-        active = (access > 0.0) & (wss > 0.0)
+        hungry = (access > 0.0) & (wss > 0.0)
         occupancy = np.zeros((view.n, self.A))
-        remaining = np.full(view.n, float(llc))
-        hungry = active.copy()
-        alive = active.any(axis=1)
-        bits = 1 << np.arange(self.A, dtype=np.int64)
-        all_cols = np.arange(self.A)
+        remaining = np.full(view.n, float(self._spec.llc_bytes))
+        alive = np.ones(view.n, dtype=bool)
         for _ in range(_OCCUPANCY_ITERATIONS):
             alive &= hungry.any(axis=1) & (remaining > 0.0)
-            rows_alive = np.flatnonzero(alive)
-            if len(rows_alive) == 0:
+            if not alive.any():
                 break
-            keys = hungry[rows_alive] @ bits
-            for key in sorted(set(keys.tolist())):
-                rows = rows_alive[keys == key]
-                cols = all_cols[(key >> all_cols) & 1 == 1]
-                rows_c = rows[:, None]
-                pres = pressure[rows_c, cols]
-                total = pres.sum(axis=1)
-                positive = total > 0.0
-                if not positive.all():
-                    alive[rows[~positive]] = False
-                    rows = rows[positive]
-                    if len(rows) == 0:
-                        continue
-                    rows_c = rows[:, None]
-                    pres = pres[positive]
-                    total = total[positive]
-                shares = remaining[rows_c] * pres / total[:, None]
-                need = wss[rows_c, cols] - occupancy[rows_c, cols]
-                sat = need <= shares
-                any_sat = sat.any(axis=1)
-                if any_sat.any():
-                    for j, col in enumerate(cols):
-                        hit = any_sat & sat[:, j]
-                        if not hit.any():
-                            continue
-                        r = rows[hit]
-                        occupancy[r, col] += need[hit, j]
-                        remaining[r] -= need[hit, j]
-                        hungry[r, col] = False
-                no_sat = ~any_sat
-                if no_sat.any():
-                    r = rows[no_sat]
-                    occupancy[r[:, None], cols] += shares[no_sat]
-                    remaining[r] = 0.0
-                    alive[r] = False
+            hungry &= alive[:, None]
+            total = _hungry_totals(pressure, hungry)
+            alive &= total > 0.0
+            hungry &= alive[:, None]
+            shares = remaining[:, None] * pressure / total[:, None]
+            sat = hungry & (wss <= shares)
+            # Rows where no hungry actor fits split what remains.
+            split = alive & ~sat.any(axis=1)
+            occupancy = np.where(
+                sat, wss, np.where(hungry & split[:, None], shares, occupancy)
+            )
+            remaining = np.where(
+                split, 0.0, _drain(remaining, np.where(sat, wss, 0.0))
+            )
+            alive &= ~split
+            hungry &= ~sat
         return occupancy
 
     def _solve_memory(self, view: _View, thr: np.ndarray) -> dict:
         """Vectorized :meth:`MemorySubsystem.solve` over the view rows."""
         spec = self._spec
-        reads, writes = self._memory_pressures(view, thr)
+        reads, writes, dma = self._memory_pressures(view, thr)
         access = reads + writes
         occupancy = self._solve_occupancy(view, access)
         wss = view.act_wss
@@ -1112,35 +1196,20 @@ class _Group:
         cold_resident = np.minimum(
             np.maximum(occ_c - hot_bytes, 0.0), cold_bytes
         )
+        # A zero-byte set divides 0.0 / 0.0 here; the mask drops it.
         hot_miss = np.where(
-            hot_bytes > 0.0,
-            1.0 - hot_resident / np.where(hot_bytes > 0.0, hot_bytes, 1.0),
-            0.0,
+            view.act_hot_any, 1.0 - hot_resident / hot_bytes, 0.0
         )
         cold_miss = np.where(
-            cold_bytes > 0.0,
-            1.0 - cold_resident / np.where(cold_bytes > 0.0, cold_bytes, 1.0),
-            0.0,
+            view.act_cold_any, 1.0 - cold_resident / cold_bytes, 0.0
         )
-        haf = view.act_haf
-        blended = haf * hot_miss + (1.0 - haf) * cold_miss
+        blended = view.act_haf * hot_miss + view.act_caf * cold_miss
         miss = np.clip(base + (1.0 - base) * blended, base, 1.0)
-        miss = np.where(wss <= 0.0, base, miss)
+        miss = np.where(view.act_idle, base, miss)
 
-        dram_reads = np.empty_like(reads)
-        dram_writes = np.empty_like(writes)
-        for k in range(self.A):
-            dram_reads[:, k] = reads[:, k] * miss[:, k]
-            dram_writes[:, k] = (writes[:, k] * miss[:, k]) + (
-                reads[:, k] + writes[:, k]
-            ) * miss[:, k] * spec.writeback_fraction
-        total_r = np.zeros(view.n)
-        for k in range(self.A):
-            total_r = total_r + dram_reads[:, k]
-        total_w = np.zeros(view.n)
-        for k in range(self.A):
-            total_w = total_w + dram_writes[:, k]
-        total_lines = total_r + total_w
+        dram_reads = reads * miss
+        dram_writes = (writes * miss) + access * miss * spec.writeback_fraction
+        total_lines = _left_fold(dram_reads) + _left_fold(dram_writes)
         utilisation = np.minimum(
             _MAX_UTILISATION,
             total_lines * CACHE_LINE_BYTES / spec.dram_bandwidth_bpus,
@@ -1153,102 +1222,84 @@ class _Group:
             "avg": avg,
             "dram_reads": dram_reads,
             "dram_writes": dram_writes,
+            "dma": dma,
         }
 
     def _accel_capacities(
         self, view: _View, thr: np.ndarray
-    ) -> tuple[dict[tuple[int, str], np.ndarray], np.ndarray]:
-        """Per-(workload, engine) stage capacities, plus failed rows.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, W, M)`` accelerator stage capacities, plus failed rows.
 
-        An absent client's capacity reads ``+inf``: a pipeline's min
-        and a run-to-completion wait (``cores / inf == 0.0``) both skip
-        it, as the scalar solver skips a stage the workload lacks.
+        An absent client's and a padded slot's capacity reads ``+inf``:
+        a pipeline's min and a run-to-completion wait (``cores / inf ==
+        0.0``) both skip it, as the scalar solver skips a stage the
+        workload lacks.
         """
-        capacities: dict[tuple[int, str], np.ndarray] = {}
         failed = np.zeros(view.n, dtype=bool)
+        stacked = []
         for engine in view.engines:
-            offered = [
-                thr[:, w] * engine["req"][pos]
-                for pos, w in enumerate(engine["clients"])
-            ]
+            offered = thr[:, engine["clients"]].T * engine["req"]
             rates, fail = _stacked_waterfill(
                 engine["teff"], engine["nq"], offered, engine["present"]
             )
             failed |= fail
-            for pos, w in enumerate(engine["clients"]):
-                cap = rates[pos] / engine["req"][pos]
-                present = engine["present"][pos]
-                if present is not None:
-                    cap = np.where(present, cap, np.inf)
-                capacities[(w, engine["name"])] = cap
-        return capacities, failed
-
-    def _core_times(
-        self, view: _View, w: int, tau: np.ndarray
-    ) -> list[np.ndarray]:
-        data = view.wl[w]
-        freq = self._spec.core_freq_mhz
-        return [
-            data["core_cycles"][k] / freq
-            + data["core_rw"][k] * tau / data["core_mlp"][k]
-            for k in range(data["n_core"])
-        ]
+            cap = rates / engine["req"]
+            if engine["present"] is not None:
+                cap = np.where(engine["present"], cap, np.inf)
+            stacked.append(cap)
+        stacked.append(np.full((1, view.n), np.inf))
+        return np.concatenate(stacked).T[:, self._cap_index], failed
 
     def _compose(
-        self,
-        view: _View,
-        w: int,
-        core_times: list[np.ndarray],
-        accel_caps: list[np.ndarray],
+        self, view: _View, core_t: np.ndarray, caps: np.ndarray
     ) -> np.ndarray:
-        data = view.wl[w]
-        pattern = data["pattern"]
-        if pattern is not ExecutionPattern.RUN_TO_COMPLETION:
-            pipeline = _pipeline_rate(
-                view.n, data["cores_f"], data["n_core"], core_times, accel_caps
+        """``(rows, W)`` throughputs from stage times and capacities
+        (scalar ``_compose``), capped by arrival and line rate.
+
+        Pipeline: the slowest stage (a min, in any order). Run to
+        completion: cores over the left-folded core times plus the
+        left-folded accelerator waits.
+        """
+        rate = None
+        if self._any_pipe:
+            rate = np.minimum(
+                np.min(
+                    np.where(core_t > 0.0, view.share[:, :, None] / core_t,
+                             np.inf),
+                    axis=2, initial=np.inf,
+                ),
+                np.min(caps, axis=2, initial=np.inf),
             )
-            if pattern is ExecutionPattern.PIPELINE:
-                return pipeline
-        rtc = _rtc_rate(view.n, data["cores_f"], core_times, accel_caps)
-        return rtc if pattern is not None else np.where(data["pipe"], pipeline, rtc)
+        if self._any_rtc:
+            cores = view.cores
+            denom = _left_fold(core_t) + _left_fold(
+                np.where(caps > 0.0, cores[:, :, None] / caps, 0.0)
+            )
+            rtc = np.where(denom > 0.0, cores / denom, np.inf)
+            rate = rtc if rate is None else np.where(view.pipe, rate, rtc)
+        rate = np.minimum(rate, view.arrival)
+        return np.minimum(rate, view.line_rate)
+
+    def _core_times(self, view: _View, tau: np.ndarray) -> np.ndarray:
+        """``(rows, W, C)`` core stage times at access times ``tau``."""
+        return view.core_cpu + view.core_rw * tau[:, :, None] / view.core_mlp
 
     def _estimate(self, view: _View) -> np.ndarray:
         """Vectorized :meth:`SmartNic._contention_free_estimate`."""
-        with np.errstate(all="ignore"):
-            return self._estimate_inner(view)
-
-    def _estimate_inner(self, view: _View) -> np.ndarray:
         spec = self._spec
         tau0 = spec.llc_hit_time_us + spec.base_miss_ratio * spec.dram_latency_us
-        thr = np.empty((view.n, self.W))
-        for w in range(self.W):
-            data = view.wl[w]
-            core_times = [
-                data["core_cycles"][k] / spec.core_freq_mhz
-                + data["core_rw"][k] * tau0 / data["core_mlp"][k]
-                for k in range(data["n_core"])
-            ]
-            accel_caps = []
-            for m in range(len(data["accel_names"])):
-                teff = data["accel_teff"][m]
-                nq = data["accel_nq"][m]
-                # allocate() with one closed-loop client in one round:
-                # spare = 1.0, weight = t_eff * n, rate = n * (1 / weight).
-                solo = nq * (1.0 / (teff * nq))
-                cap = solo / data["accel_req"][m]
-                present = data["present"][m]
-                if present is not None:
-                    cap = np.where(present, cap, np.inf)
-                accel_caps.append(cap)
-            estimate = self._compose(view, w, core_times, accel_caps)
-            estimate = np.minimum(estimate, data["arrival"])
-            thr[:, w] = np.minimum(estimate, data["line_rate"])
-            if self._padded:
-                # Dummy lanes idle at zero rate: every pressure they
-                # feed downstream is an exact 0.0, and their residual
-                # (updated == thr) is exactly 0.0, so padded rows keep
-                # the scalar solver's iteration count.
-                thr[:, w] = np.where(view.lane[:, w], thr[:, w], 0.0)
+        with np.errstate(all="ignore"):
+            thr = self._compose(
+                view,
+                self._core_times(view, np.full((view.n, self.W), tau0)),
+                self._solo_caps,
+            )
+        if self._padded:
+            # Dummy lanes idle at zero rate: every pressure they feed
+            # downstream is an exact 0.0, and their residual (updated ==
+            # thr) is exactly 0.0, so padded rows keep the scalar
+            # solver's iteration count.
+            thr = np.where(view.lane, thr, 0.0)
         return thr
 
     def _iterate(
@@ -1256,23 +1307,14 @@ class _Group:
     ) -> tuple[np.ndarray, np.ndarray]:
         """One vectorized sweep of the fixed-point map."""
         memory = self._solve_memory(view, thr)
-        capacities, failed = self._accel_capacities(view, thr)
-        updated = np.empty_like(thr)
-        for w in range(self.W):
-            data = view.wl[w]
-            tau = memory["avg"][:, self.wl_actor[w]]
-            core_times = self._core_times(view, w, tau)
-            accel_caps = [capacities[(w, name)] for name in data["accel_names"]]
-            rate = self._compose(view, w, core_times, accel_caps)
-            rate = np.minimum(rate, data["arrival"])
-            rate = np.minimum(rate, data["line_rate"])
-            if self._padded:
-                updated[:, w] = np.where(
-                    view.lane[:, w], np.maximum(rate, 1e-9), thr[:, w]
-                )
-            else:
-                updated[:, w] = np.maximum(rate, 1e-9)
-        return updated, failed
+        caps, failed = self._accel_capacities(view, thr)
+        tau = memory["avg"][:, self._wl_actor]
+        rate = np.maximum(
+            self._compose(view, self._core_times(view, tau), caps), 1e-9
+        )
+        if self._padded:
+            rate = np.where(view.lane, rate, thr)
+        return rate, failed
 
     # -- driver ----------------------------------------------------------
     def solve(self) -> list:
@@ -1322,12 +1364,9 @@ class _Group:
                             "accelerator water-filling failed to converge"
                         )
                     frozen |= new_fail
-                residual = None
-                for w in range(W):
-                    rel = np.abs(updated[:, w] - thr[:, w]) / np.maximum(
-                        updated[:, w], 1e-12
-                    )
-                    residual = rel if residual is None else np.maximum(residual, rel)
+                residual = (
+                    np.abs(updated - thr) / np.maximum(updated, 1e-12)
+                ).max(axis=1)
                 live = ~frozen
                 improved = residual < best - 1e-12
                 bumped = stall + 1
@@ -1424,213 +1463,161 @@ class _Group:
         results: list,
     ) -> None:
         """Vectorized :meth:`SmartNic._finalise` over the ``idx`` rows."""
-        nic = self._nic
-        spec = self._spec
         view = _View(self, idx)
         with np.errstate(all="ignore"):
             memory = self._solve_memory(view, thr)
-            capacities, _ = self._accel_capacities(view, thr)
-            per_wl, dram_util = self._finalise_arrays(
-                view, thr, memory, capacities
-            )
-        self._assemble_results(idx, thr, iterations, per_wl, dram_util, results)
+            caps, _ = self._accel_capacities(view, thr)
+            arrays = self._finalise_arrays(view, thr, memory, caps)
+        self._assemble_results(idx, thr, iterations, arrays, results)
 
-    def _finalise_arrays(self, view, thr, memory, capacities):
+    def _finalise_arrays(
+        self, view: _View, thr: np.ndarray, memory: dict, caps: np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """Stage reports, bottlenecks and counters as ``(rows, W, ...)``
+        arrays (scalar ``_finalise``, ``_bottleneck`` and ``_counters``)."""
         spec = self._spec
-        # dram_utilisation(): per-actor (read + write) accumulated in
-        # actor order, then the same clamp as the solve.
-        total = np.zeros(view.n)
-        for k in range(self.A):
-            total = total + (
-                memory["dram_reads"][:, k] + memory["dram_writes"][:, k]
-            )
+        # dram_utilisation(): per-actor (read + write) folded in actor
+        # order, then the same clamp as the solve.
         dram_util = np.minimum(
             _MAX_UTILISATION,
-            total * CACHE_LINE_BYTES / spec.dram_bandwidth_bpus,
+            _left_fold(memory["dram_reads"] + memory["dram_writes"])
+            * CACHE_LINE_BYTES / spec.dram_bandwidth_bpus,
         )
-
-        per_wl = []
-        for w in range(self.W):
-            data = view.wl[w]
-            actor = self.wl_actor[w]
-            avg = memory["avg"][:, actor]
-            core_times = self._core_times(view, w, avg)
-            n_core = max(1, data["n_core"])
-            cores = data["cores_f"]
-            pattern = data["pattern"]
-            stage_times = []
-            stage_caps = []
-            rtc_metric = []
-            # present_at[u]: rows whose workload has column stage u
-            # (None: every row). Only accelerator slots can be absent.
-            present_at: list[Optional[np.ndarray]] = []
-            for kind, pos in data["stage_kinds"]:
-                if kind == "a":
-                    cap = capacities[(w, data["accel_names"][pos])]
-                    positive = cap > 0.0
-                    t = np.where(
-                        positive, 1.0 / np.where(positive, cap, 1.0), np.inf
-                    )
-                    metric = cores * t
-                    present = data["present"][pos]
-                    if present is not None:
-                        # An absent slot's cap is +inf (never a pipeline
-                        # minimum); it must not be a maximum either.
-                        metric = np.where(present, metric, -np.inf)
-                    rtc_metric.append(metric)
-                    present_at.append(present)
-                else:
-                    t = core_times[pos]
-                    positive = t > 0.0
-                    safe_t = np.where(positive, t, 1.0)
-                    if pattern is ExecutionPattern.PIPELINE:
-                        per_packet = (cores / n_core) / safe_t
-                    elif pattern is ExecutionPattern.RUN_TO_COMPLETION:
-                        per_packet = cores / safe_t
-                    else:
-                        per_packet = np.where(
-                            data["pipe"],
-                            (cores / n_core) / safe_t,
-                            cores / safe_t,
-                        )
-                    cap = np.where(positive, per_packet, np.inf)
-                    rtc_metric.append(t)
-                    present_at.append(None)
-                stage_times.append(t)
-                stage_caps.append(cap)
-            if pattern is ExecutionPattern.PIPELINE:
-                bottleneck_idx = np.argmin(np.column_stack(stage_caps), axis=1)
-            elif pattern is ExecutionPattern.RUN_TO_COMPLETION:
-                bottleneck_idx = np.argmax(np.column_stack(rtc_metric), axis=1)
-            else:
-                bottleneck_idx = np.where(
-                    data["pipe"],
-                    np.argmin(np.column_stack(stage_caps), axis=1),
-                    np.argmax(np.column_stack(rtc_metric), axis=1),
-                )
-            if any(mask is not None for mask in present_at):
+        avg = memory["avg"][:, self._wl_actor]
+        core_t = self._core_times(view, avg)
+        cores = view.cores
+        core_cap = np.where(
+            core_t > 0.0,
+            np.where(view.pipe, view.share, cores)[:, :, None] / core_t,
+            np.inf,
+        )
+        accel_t = np.where(caps > 0.0, 1.0 / caps, np.inf)
+        stage = (slice(None), self._stage_w, self._stage_src)
+        times = np.concatenate((core_t, accel_t), axis=2)[stage]
+        capacities = np.concatenate((core_cap, caps), axis=2)[stage]
+        has = view.stage_has
+        bottleneck = None
+        if self._any_pipe:
+            bottleneck = np.argmin(np.where(has, capacities, np.inf), axis=2)
+            if self._absent:
                 # An absent stage wins only a tie at +inf capacity; the
                 # scalar min then picks the first stage the row has.
-                has = np.column_stack(
-                    [
-                        np.ones(view.n, dtype=bool) if mask is None else mask
-                        for mask in present_at
-                    ]
+                chosen = np.take_along_axis(has, bottleneck[:, :, None], 2)
+                bottleneck = np.where(
+                    chosen[:, :, 0], bottleneck, np.argmax(has, axis=2)
                 )
-                chosen = has[np.arange(view.n), bottleneck_idx]
-                bottleneck_idx = np.where(
-                    chosen, bottleneck_idx, np.argmax(has, axis=1)
-                )
-
-            # Table 11 counters.
-            rate = thr[:, w]
-            stall_cycles = np.zeros(view.n)
-            for k in range(data["n_core"]):
-                stall_cycles = stall_cycles + (
-                    data["core_rw"][k]
-                    * avg
-                    / data["core_mlp"][k]
-                    * spec.core_freq_mhz
-                )
-            total_cycles = np.maximum(data["cycles_sum"] + stall_cycles, 1e-9)
-            share_dma = np.zeros(view.n)
-            for m in range(len(data["accel_names"])):
-                share_dma = share_dma + (
-                    rate
-                    * data["accel_req"][m]
-                    * data["accel_bpk"][m]
-                    * data["accel_refs"][m]
-                )
-            dma_reads = share_dma * 0.5
-            instr = data["instr_sum"]
-            miss = memory["miss"][:, actor]
-            per_wl.append(
-                {
-                    "stage_times": stage_times,
-                    "stage_caps": stage_caps,
-                    "bottleneck_idx": bottleneck_idx,
-                    "ipc": np.where(
-                        instr > 0.0, instr / total_cycles, 0.0
-                    ),
-                    "irt": instr * rate,
-                    "l2crd": data["reads_sum"] * rate + dma_reads,
-                    "l2cwr": data["writes_sum"] * rate + (share_dma - dma_reads),
-                    "memrd": memory["dram_reads"][:, actor] + dma_reads * miss,
-                    "memwr": memory["dram_writes"][:, actor],
-                    "wss": data["wss"],
-                    "miss": miss,
-                    "occupancy": memory["occupancy"][:, actor],
-                }
+        if self._any_rtc:
+            metric = np.concatenate((core_t, cores[:, :, None] * accel_t), axis=2)
+            rtc = np.argmax(np.where(has, metric[stage], -np.inf), axis=2)
+            bottleneck = (
+                rtc if bottleneck is None
+                else np.where(view.pipe, bottleneck, rtc)
             )
-        return per_wl, dram_util
+
+        # Table 11 counters.
+        stall_cycles = _left_fold(
+            view.core_rw * avg[:, :, None] / view.core_mlp * spec.core_freq_mhz
+        )
+        total_cycles = np.maximum(view.cycles_sum + stall_cycles, 1e-9)
+        share_dma = memory["dma"]
+        if share_dma is None:
+            share_dma = self._dma_rates(view, thr)
+        dma_reads = share_dma * 0.5
+        instr = view.instr_sum
+        miss = memory["miss"][:, self._wl_actor]
+        return {
+            "dram_util": dram_util,
+            "stage_times": times,
+            "stage_caps": capacities,
+            "bottleneck": bottleneck,
+            "ipc": np.where(instr > 0.0, instr / total_cycles, 0.0),
+            "irt": instr * thr,
+            "l2crd": view.reads_sum * thr + dma_reads,
+            "l2cwr": view.writes_sum * thr + (share_dma - dma_reads),
+            "memrd": memory["dram_reads"][:, self._wl_actor] + dma_reads * miss,
+            "memwr": memory["dram_writes"][:, self._wl_actor],
+            "wss": view.wss,
+            "miss": miss,
+            "occupancy": memory["occupancy"][:, self._wl_actor],
+        }
 
     def _assemble_results(
-        self, idx, thr, iterations, per_wl, dram_util, results
+        self,
+        idx: np.ndarray,
+        thr: np.ndarray,
+        iterations: np.ndarray,
+        arrays: dict[str, np.ndarray],
+        results: list,
     ) -> None:
-        for row, scenario_row in enumerate(idx):
+        values = {name: array.tolist() for name, array in arrays.items()}
+        rates = thr.tolist()
+        sweeps = iterations.tolist()
+        for row, scenario_row in enumerate(idx.tolist()):
             plan = self._plans[scenario_row]
             noises = self._noises[scenario_row]
             workload_results = {}
             for j, wplan in enumerate(plan.workloads):
                 w = self.embeddings[scenario_row][j]
                 fit = _fit(wplan.layout, self._columns[w].layout)
-                values = per_wl[w]
-                stages = []
-                for s_idx, (kind, _) in enumerate(wplan.stage_kinds):
-                    stage = wplan.demand.stages[s_idx]
-                    u = fit.stage_cols[s_idx]
-                    stages.append(
-                        _nic.StageReport(
-                            name=stage.name,
-                            resource=stage.resource,
-                            accelerator=(
-                                stage.accelerator if kind == "a" else None
-                            ),
-                            time_pp_us=float(values["stage_times"][u][row]),
-                            capacity_mpps=float(values["stage_caps"][u][row]),
-                        )
+                times = values["stage_times"][row][w]
+                caps = values["stage_caps"][row][w]
+                stages = tuple(
+                    _nic.StageReport(
+                        name=stage.name,
+                        resource=stage.resource,
+                        accelerator=stage.accelerator if kind == "a" else None,
+                        time_pp_us=times[u],
+                        capacity_mpps=caps[u],
                     )
-                counters = PerfCounters(
-                    ipc=float(values["ipc"][row]),
-                    irt=float(values["irt"][row]),
-                    l2crd=float(values["l2crd"][row]),
-                    l2cwr=float(values["l2cwr"][row]),
-                    memrd=float(values["memrd"][row]),
-                    memwr=float(values["memwr"][row]),
-                    wss=float(values["wss"][row]),
+                    for stage, (kind, _), u in zip(
+                        wplan.demand.stages, wplan.stage_kinds, fit.stage_cols
+                    )
                 )
-                rate = float(thr[row, w])
+                counters = PerfCounters(
+                    ipc=values["ipc"][row][w],
+                    irt=values["irt"][row][w],
+                    l2crd=values["l2crd"][row][w],
+                    l2cwr=values["l2cwr"][row][w],
+                    memrd=values["memrd"][row][w],
+                    memwr=values["memwr"][row][w],
+                    wss=values["wss"][row][w],
+                )
+                rate = rates[row][w]
                 workload_results[wplan.name] = _nic.WorkloadResult(
                     name=wplan.name,
                     throughput_mpps=rate * noises[j],
                     true_throughput_mpps=rate,
                     counters=counters,
-                    stages=tuple(stages),
+                    stages=stages,
                     bottleneck=wplan.stage_labels[
-                        fit.stage_of[int(values["bottleneck_idx"][row])]
+                        fit.stage_of[values["bottleneck"][row][w]]
                     ],
-                    miss_ratio=float(values["miss"][row]),
-                    llc_occupancy_bytes=float(values["occupancy"][row]),
+                    miss_ratio=values["miss"][row][w],
+                    llc_occupancy_bytes=values["occupancy"][row][w],
                 )
             results[scenario_row] = _nic.RunResult(
                 workloads=workload_results,
-                iterations=int(iterations[row]),
-                dram_utilisation=float(dram_util[row]),
+                iterations=sweeps[row],
+                dram_utilisation=values["dram_util"][row],
             )
 
 
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
-#: Signature groups smaller than this solve through the scalar solver:
-#: below ~3 rows the vectorized sweep's per-iteration numpy dispatch
-#: costs more than the scalar Python sweep, so heterogeneous batches
-#: (e.g. a fleet epoch whose NICs host structurally diverse mixes)
-#: would otherwise run *slower* batched than looped. The fallback is
-#: observation-free: the scalar solver is the bit-exactness oracle the
-#: vectorized path must reproduce anyway. Small groups whose signatures
-#: embed into one another first merge into padded super-groups (see
-#: :class:`_Group`), so only unmergeable stragglers pay the scalar path.
+#: Signature groups smaller than this solve through the scalar solver,
+#: unless a padded family (see :class:`_Group`) or straggler adoption
+#: takes them. The threshold dates from a sweep whose per-iteration
+#: numpy dispatch cost more than the scalar Python sweep below ~3 rows.
+#: The whole-group sweep no longer does: a one-row group against
+#: ``SmartNic.run`` on the same mix (min of 9 runs, alternated, 2-vCPU
+#: VM, 4-NF BlueField-2 and 8-NF Pensando mixes) read 0.6-0.9x, two
+#: rows 0.4-0.7x, where the per-hungry-mask sweep read 1.1-2.2x and
+#: 0.6-1.0x. The threshold stays anyway: it also decides which groups
+#: form families and adopt stragglers, which the perf gates' arms rest
+#: on (ROADMAP item 3). The fallback is observation-free: the scalar
+#: solver is the bit-exactness oracle the vectorized path must
+#: reproduce anyway.
 _SCALAR_FALLBACK_GROUP_SIZE = 3
 
 

@@ -380,18 +380,6 @@ class TestNoiseFormula:
                     )
 
 
-class TestBatchedSums:
-    def test_row_sums_match_1d_sums(self):
-        """The occupancy reduction relies on axis-sum == per-row sum."""
-        rng = np.random.default_rng(0)
-        for n in (1, 2, 5, 7, 8, 9, 15, 16, 33, 129):
-            block = rng.uniform(1e-9, 1e3, size=(13, n))
-            assert np.array_equal(
-                block.sum(axis=1),
-                np.array([block[i].sum() for i in range(len(block))]),
-            )
-
-
 class TestPaddedSuperGroups:
     """Small signature groups merge into padded super-groups, bit-exact."""
 
@@ -676,8 +664,13 @@ class TestStackedWaterfill:
                 present[j] = mask
                 for arr in (teff, nq, offered):
                     arr[j] = np.where(mask, arr[j], 0.0)
+        stacked_present = None if not absent else np.array(
+            [np.ones(rows, dtype=bool) if p is None else p for p in present]
+        )
         with np.errstate(all="ignore"):
-            rates, failed = _stacked_waterfill(teff, nq, offered, present)
+            rates, failed = _stacked_waterfill(
+                np.array(teff), np.array(nq), np.array(offered), stacked_present
+            )
         for row in range(rows):
             expected = self._scalar(engine, teff, nq, offered, present, row)
             assert failed[row] == (None in expected.values()), row
@@ -685,3 +678,117 @@ class TestStackedWaterfill:
                 name = f"c{j}"
                 if name in expected and expected[name] is not None:
                     assert rates[j][row] == expected[name], (row, j)
+
+
+def _wide_mix(names, rng):
+    """One mix of single-core catalog NFs, one drawn traffic each."""
+    return [
+        replace(
+            make_nf(name).demand(
+                _HETERO_TRAFFIC[int(rng.integers(0, 3))], instance=f"{name}#{j}"
+            ),
+            cores=1,
+        )
+        for j, name in enumerate(names)
+    ]
+
+
+#: Wide Pensando mixes, each a set of ``run_batch`` rows: an exact group
+#: of eight regex NFs (16 memory actors, one DMA actor each); a family
+#: of seven-NF rows and eight-NF rows with one regex NF (7 and 9 hungry
+#: actors in the same occupancy round); and a family of eight-NF mixes
+#: over three structures, one per signature (up to 16 actors, absent
+#: DMA actors padded).
+_WIDE_CASES = {
+    "sixteen_actors": [("nids",) * 4 + ("flowmonitor",) * 4] * 4,
+    "straddle": [("flowstats",) * 7] * 2 + [("nids",) + ("flowstats",) * 7] * 2,
+    "family": [
+        ("flowstats", "nids", "flowmonitor", "nids",
+         "flowstats", "flowmonitor", "nids", "flowstats"),
+        ("nids", "nids", "flowstats", "flowmonitor",
+         "flowmonitor", "flowstats", "nids", "nids"),
+        ("flowmonitor", "flowstats", "flowstats", "nids",
+         "nids", "flowmonitor", "flowstats", "flowstats"),
+        ("nids",) * 8,
+    ],
+}
+
+
+class TestWideMixes:
+    """Mixes with eight or more hungry occupancy actors, whose totals
+    take NumPy's pairwise (eight-lane) order, stay bit-exact."""
+
+    @staticmethod
+    def _record_counts(monkeypatch) -> list:
+        """Patch ``_hungry_totals`` to record each call's hungry counts
+        of the rows still water-filling."""
+        from repro.nic import batch
+
+        calls = []
+        original = batch._hungry_totals
+
+        def recording(pressure, hungry):
+            counts = hungry.sum(axis=1)
+            calls.append(counts[counts > 0])
+            return original(pressure, hungry)
+
+        monkeypatch.setattr(batch, "_hungry_totals", recording)
+        return calls
+
+    @staticmethod
+    def _scenarios(case):
+        nic = SmartNic(pensando_spec(), seed=11)
+        rng = make_rng(5)
+        return nic, [_wide_mix(names, rng) for names in _WIDE_CASES[case]]
+
+    @pytest.mark.parametrize("case", sorted(_WIDE_CASES))
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_looped_run(self, case, warm, monkeypatch):
+        nic, scenarios = self._scenarios(case)
+        warms = [
+            {w.name: 0.4 + 0.1 * j for j, w in enumerate(s)} if i % 2 else None
+            for i, s in enumerate(scenarios)
+        ] if warm else None
+        calls = self._record_counts(monkeypatch)
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            batch = nic.run_batch(scenarios, warm_starts=warms)
+        for i, scenario in enumerate(scenarios):
+            initial = warms[i] if warms else None
+            assert_identical(
+                nic.run(scenario, initial=initial), batch[i], f"{case} {i}"
+            )
+        # One vectorized group holds every row: an exact group, or a
+        # family of two or four signatures.
+        sizes = recorder.exec_histograms["batch.group_size"]
+        assert (sizes["count"], sizes["max"]) == (1, len(scenarios))
+        signatures = {_ScenarioPlan(nic, s).signature for s in scenarios}
+        assert len(signatures) == {
+            "sixteen_actors": 1, "straddle": 2, "family": 4}[case]
+        widest = max(int(c.max()) for c in calls if len(c))
+        assert widest == {"sixteen_actors": 16, "straddle": 9, "family": 16}[
+            case]
+        if case == "straddle":
+            assert any(c.min() < 8 <= c.max() for c in calls if len(c))
+
+    def test_sequential_totals_break_parity(self, monkeypatch):
+        """The eight-lane order matters: summing the hungry pressures
+        one at a time instead changes some result's bits."""
+        from repro.nic import batch
+
+        monkeypatch.setattr(
+            batch,
+            "_hungry_totals",
+            lambda pressure, hungry: batch._left_fold(
+                np.where(hungry, pressure, 0.0)
+            ),
+        )
+        nic, scenarios = self._scenarios("sixteen_actors")
+        results = nic.run_batch(scenarios)
+        mismatched = 0
+        for scenario, result in zip(scenarios, results):
+            try:
+                assert_identical(nic.run(scenario), result)
+            except AssertionError:
+                mismatched += 1
+        assert mismatched > 0
