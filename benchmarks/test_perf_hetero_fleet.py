@@ -5,24 +5,23 @@ BlueField-2 pool and a Pensando pool, each hosting structurally
 *diverse* resident mixes (table-driven NFs interleaved with the
 regex-offloading NIDS in varying order and count, plus solo residents).
 Every signature group holds at most two scenarios, i.e. everything sits
-below the batch engine's scalar-fallback threshold: before padded
-super-groups this entire epoch solved scenario by scenario on the
+below the batch engine's scalar-fallback threshold: without padded
+super-groups this entire epoch would solve scenario by scenario on the
 scalar path. Solved two ways:
 
-- **scalar fallback**: ``solve_batch(..., pad_small_groups=False)`` —
-  the pre-super-group behaviour (every small group loops through
-  :meth:`SmartNic.run`, the bit-exactness oracle);
-- **padded**: ``solve_batch(..., pad_small_groups=True)`` — small
-  groups merge into padded super-groups (subsequence embedding into a
-  grown super-signature, masked dummy lanes) and solve as one
-  vectorized fixed point per family.
+- **scalar**: ``[nic.run(s) for s in scenarios]`` — looped
+  :meth:`SmartNic.run`, the bit-exactness oracle;
+- **padded**: ``solve_batch(nic, scenarios)`` — small groups merge
+  into padded super-groups (subsequence embedding into a grown
+  super-signature, masked dummy lanes) and solve as one vectorized
+  fixed point per family.
 
 The NICs are noiseless so the gate measures the solvers, not the seeded
 measurement-noise hashing both arms share. Correctness is asserted
-before timing: the padded results must equal the scalar-fallback arm
-exactly (throughputs, counters, stages, iteration counts) on both
-hardware targets. Timing follows the suite conventions: CPU time, min
-of three runs per arm, re-measured up to three times.
+before timing: the padded results must equal the scalar arm exactly
+(throughputs, counters, stages, iteration counts) on both hardware
+targets. Timing follows the suite conventions: CPU time, min of three
+runs per arm, re-measured up to three times.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.nic.spec import get_spec
 from repro.rng import make_rng
 from repro.traffic.profile import TrafficProfile
 
-#: Required advantage of padded super-groups over the scalar fallback.
+#: Required advantage of padded super-groups over the scalar solver.
 MIN_HETERO_SPEEDUP = 2.0
 
 #: Hardware targets of the mixed fleet.
@@ -83,9 +82,12 @@ def build_scenarios(seed: int) -> list:
 
 
 def solve_fleet(nics: dict, scenarios: list, padded: bool) -> dict:
-    """One 'epoch': solve every pool's scenario list on its own NIC."""
+    """One 'epoch': solve every pool's scenario list on its own NIC,
+    padded or scenario by scenario."""
     return {
-        target: solve_batch(nic, scenarios, pad_small_groups=padded)
+        target: solve_batch(nic, scenarios)
+        if padded
+        else [nic.run(scenario) for scenario in scenarios]
         for target, nic in nics.items()
     }
 

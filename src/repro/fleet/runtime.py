@@ -9,7 +9,7 @@ baselines) and the runtime decides *where*:
 
 - :class:`SerialRuntime` — everything in-process, the historical code
   path and the byte-exactness **oracle arm** (like ``score_mode="loop"``
-  and ``pad_small_groups=False`` before it);
+  before it);
 - :class:`ProcessRuntime` — pods are solved in worker processes
   (``jobs`` of them), solo-baseline batches are split into contiguous
   chunks across the pool.

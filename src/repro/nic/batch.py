@@ -1605,19 +1605,20 @@ class _Group:
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
-#: Signature groups smaller than this solve through the scalar solver,
-#: unless a padded family (see :class:`_Group`) or straggler adoption
-#: takes them. The threshold dates from a sweep whose per-iteration
+#: Signature groups smaller than this merge into padded families (see
+#: :func:`_merge_small_groups`), and the scalar solver takes the rows no
+#: family does. The threshold dates from a sweep whose per-iteration
 #: numpy dispatch cost more than the scalar Python sweep below ~3 rows.
 #: The whole-group sweep no longer does: a one-row group against
 #: ``SmartNic.run`` on the same mix (min of 9 runs, alternated, 2-vCPU
 #: VM, 4-NF BlueField-2 and 8-NF Pensando mixes) read 0.6-0.9x, two
 #: rows 0.4-0.7x, where the per-hungry-mask sweep read 1.1-2.2x and
 #: 0.6-1.0x. The threshold stays anyway: it also decides which groups
-#: form families and adopt stragglers, which the perf gates' arms rest
-#: on (ROADMAP item 3). The fallback is observation-free: the scalar
-#: solver is the bit-exactness oracle the vectorized path must
-#: reproduce anyway.
+#: merge into families, which the warm-start gate of
+#: ``benchmarks/test_perf_incremental.py`` rests on (see
+#: :data:`_MIXED_FAMILY_MAX_ROWS` and ROADMAP item 3). The fallback is
+#: observation-free: the scalar solver is the bit-exactness oracle the
+#: vectorized path must reproduce anyway.
 _SCALAR_FALLBACK_GROUP_SIZE = 3
 
 
@@ -1662,10 +1663,10 @@ def _merge_small_groups(
     within :data:`_PAD_MAX_WIDTH` absorbs it; otherwise it roots a new
     family. Widening and growth keep every earlier member fitting (a
     layout that fits a column fits every union of it). Families that
-    gather at least
-    :data:`_SCALAR_FALLBACK_GROUP_SIZE` scenarios across two or more
-    signatures solve as one padded vectorized group; everything else
-    stays on the scalar path.
+    gather at least :data:`_SCALAR_FALLBACK_GROUP_SIZE` scenarios
+    across two or more signatures solve as one padded vectorized group;
+    everything else, a lone small group included, stays on the scalar
+    path.
 
     Returns ``(merged, leftovers)``: ``merged`` holds ``(columns,
     members)`` where each member is ``(sig, plans, indices)``,
@@ -1742,15 +1743,15 @@ def solve_batch(
     nic: "_nic.SmartNic",
     scenarios: list[list[WorkloadDemand]],
     on_error: str = "raise",
-    pad_small_groups: bool = True,
     warm_starts: Optional[list] = None,
 ):
     """Solve many co-location scenarios; see :meth:`SmartNic.run_batch`.
 
-    ``pad_small_groups=False`` disables the padded super-group merge
-    *and* straggler adoption and reverts every small signature group to
-    the scalar fallback (the heterogeneous-fleet benchmark uses this as
-    its reference arm).
+    Scenarios are grouped by structural signature. A group of at least
+    :data:`_SCALAR_FALLBACK_GROUP_SIZE` rows solves alone as one exact
+    vectorized group. Smaller groups merge into padded families
+    (:func:`_merge_small_groups`), and :meth:`SmartNic.run` solves the
+    scenarios no family takes, one at a time.
 
     ``warm_starts`` is aligned with ``scenarios``: per entry ``None``
     (cold) or a name→Mpps mapping seeding that scenario's initial
@@ -1799,85 +1800,20 @@ def solve_batch(
             return None
         return values
 
-    big: list[tuple[tuple, list[_ScenarioPlan], list[int]]] = []
+    # Every vectorized solve as (plans, indices, columns, embeddings).
+    # All of their scenarios are seeded by one noise pass up front. A
+    # big signature group solves alone; small ones merge into families.
+    solves: list[tuple[list, list, Optional[list], Optional[list]]] = []
     small: list[tuple[tuple, list[_ScenarioPlan], list[int]]] = []
     for sig, (plans, indices) in groups.items():
         if len(plans) < _SCALAR_FALLBACK_GROUP_SIZE:
             small.append((sig, plans, indices))
         else:
-            big.append((sig, plans, indices))
-
-    # Straggler adoption: a small group whose signature embeds into a
-    # big group's columns rides along as masked lanes instead of paying
-    # the scalar fallback or growing a padded family. Both sides are
-    # visited in the deterministic longest-first/repr order, first fit
-    # wins, and the big group's columns never grow — its own rows stay
-    # full-lane, so the proven all-zero-dummy-lane argument keeps every
-    # real lane bit-identical to the scalar solver.
-    adopted: dict[int, list[tuple[tuple, list[_ScenarioPlan], list[int]]]] = {}
-    if pad_small_groups and small and big:
-        big_order = sorted(
-            range(len(big)), key=lambda k: (-len(big[k][0]), repr(big[k][0]))
-        )
-        remaining = []
-        for sig, plans, indices in sorted(
-            small, key=lambda entry: (-len(entry[0]), repr(entry[0]))
-        ):
-            for k in big_order:
-                # Equal lengths embed only if equal, and a small
-                # group's signature is never a big group's.
-                if (
-                    len(sig) < len(big[k][0])
-                    and _embed_signature(sig, big[k][0]) is not None
-                ):
-                    adopted.setdefault(k, []).append((sig, plans, indices))
-                    break
-            else:
-                remaining.append((sig, plans, indices))
-        small = remaining
-
-    # Every vectorized solve as (plans, indices, columns, embeddings).
-    # All of their scenarios are seeded by one noise pass up front.
-    solves: list[tuple[list, list, Optional[list], Optional[list]]] = []
-    for k, (sig, plans, indices) in enumerate(big):
-        members = adopted.get(k)
-        if not members:
             obs.exec_histogram("batch.group_size", len(plans))
             solves.append((plans, indices, None, None))
-            continue
-        all_plans = list(plans)
-        all_indices = list(indices)
-        all_embeds: list[list[int]] = [list(range(len(sig)))] * len(plans)
-        for m_sig, m_plans, m_indices in members:
-            cols = _embed_signature(m_sig, sig)
-            all_plans.extend(m_plans)
-            all_indices.extend(m_indices)
-            all_embeds.extend([cols] * len(m_plans))
-        if obs.enabled:
-            obs.exec_histogram("batch.group_size", len(all_plans))
-            obs.exec_counter(
-                "batch.adoptions",
-                sum(len(m_plans) for _, m_plans, _ in members),
-            )
-            obs.exec_counter(
-                "batch.padded_lanes",
-                sum(
-                    len(m_plans) * (len(sig) - len(m_sig))
-                    for m_sig, m_plans, _ in members
-                ),
-            )
-        solves.append((all_plans, all_indices, None, all_embeds))
 
     mixed = sum(len(plans) for _, plans, _ in small) <= _MIXED_FAMILY_MAX_ROWS
-    if pad_small_groups and len(small) > 1:
-        merged, leftovers = _merge_small_groups(small, mixed)
-    else:
-        merged = []
-        leftovers = [
-            (plan, index)
-            for _, plans, indices in small
-            for plan, index in zip(plans, indices)
-        ]
+    merged, leftovers = _merge_small_groups(small, mixed)
     for super_sig, members in merged:
         all_plans = []
         all_indices = []

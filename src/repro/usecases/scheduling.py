@@ -185,9 +185,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Strategy predicates (shared with the fleet — repro.fleet.policies)
     # ------------------------------------------------------------------
-    def _predicted_feasible_yala(self, residents: list[NfArrival]) -> bool:
-        return self._model.predicted_feasible_yala(residents)
-
     def _greedy_utilisation(self, residents: list[NfArrival]) -> float:
         """Additive utilisation estimate of one NIC (greedy's view)."""
         return self._model.greedy_utilisation(residents)

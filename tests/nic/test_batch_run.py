@@ -145,7 +145,8 @@ class TestRunBatchEquivalence:
         """A mix still above the accepted residual after
         ``_MAX_ITERATIONS`` sweeps (its damping shrank to the floor
         while it drifted off an unstable fixed point) settles in the
-        restart, in the scalar solver and in exact and padded groups."""
+        restart, in the scalar solver, in an exact group and as a row
+        of a padded family."""
         nic = SmartNic(pensando_spec(), seed=59408)
 
         def mix(layout):
@@ -156,22 +157,31 @@ class TestRunBatchEquivalence:
 
         names = ("flowclassifier", "iptunnel", "nat", "nat", "nat", "flowstats")
         unsettled = mix(zip(names, (1, 0, 1, 1, 0, 0)))
-        scenarios = [
+        exact = [
             mix(zip(names, (0, 1, 2, 1, 0, 2))),
             unsettled,
             mix(zip(names, (2, 2, 0, 0, 2, 1))),
+        ]
+        family = [
+            unsettled,
             unsettled[:5],
+            mix(zip(names[:5], (2, 2, 0, 0, 2))),
         ]
         assert nic.run(unsettled).iterations > _MAX_ITERATIONS
-        for size in (3, 4):  # an exact group; a padded family
+        for label, scenarios in (("exact", exact), ("family", family)):
             recorder = TraceRecorder()
             with use_recorder(recorder):
-                batch = nic.run_batch(scenarios[:size])
+                batch = nic.run_batch(scenarios)
             counters = recorder.exec_counters
-            assert counters["batch.restarts"] == 1, size
-            assert "batch.scalar_scenarios" not in counters, size
+            assert counters["batch.restarts"] == 1, label
+            assert "batch.scalar_scenarios" not in counters, label
+            assert ("batch.padded_lanes" in counters) == (label == "family")
+            sizes = recorder.exec_histograms["batch.group_size"]
+            assert (sizes["count"], sizes["max"]) == (1, 3.0), label
             for i, result in enumerate(batch):
-                assert_identical(nic.run(scenarios[i]), result, f"restart {i}")
+                assert_identical(
+                    nic.run(scenarios[i]), result, f"{label} restart {i}"
+                )
 
     def test_many_clients_on_one_engine(self):
         """>=3 clients sharing one accelerator engine stay bit-exact.
@@ -425,18 +435,17 @@ class TestPaddedSuperGroups:
             assert_identical(nic.run(scenario), batch[i], f"padded {i}")
 
     def test_padded_merge_matches_disabled_padding(self):
-        from repro.nic.batch import solve_batch
-
+        """Pensando's regex-only mixes: the padded merge equals solving
+        every scenario unpadded, by looped ``SmartNic.run``."""
         nic = SmartNic(pensando_spec(), seed=9)
         scenarios = [s for s in self._scenarios(make_rng(5)) if all(
             stage.accelerator in (None, "regex")
             for demand in s
             for stage in demand.stages
         )]
-        padded = solve_batch(nic, scenarios, pad_small_groups=True)
-        scalar = solve_batch(nic, scenarios, pad_small_groups=False)
-        for i in range(len(scenarios)):
-            assert_identical(scalar[i], padded[i], f"scenario {i}")
+        padded = nic.run_batch(scenarios)
+        for i, scenario in enumerate(scenarios):
+            assert_identical(nic.run(scenario), padded[i], f"scenario {i}")
 
     def test_identical_signature_families_above_the_row_cap(self, monkeypatch):
         """Calls with more small-group rows than the cap merge by
@@ -591,7 +600,7 @@ class TestHeterogeneousFamilies:
             )
         # Three or more same-width leftovers never fall back to the
         # scalar solver (a signature drawn three times is an exact
-        # group instead, which may adopt some of the others).
+        # group instead, and the others may be too few for a family).
         signatures = [_ScenarioPlan(nic, s).signature for s in scenarios]
         if all(signatures.count(sig) < 3 for sig in signatures):
             assert recorder.exec_counters.get("batch.scalar_scenarios", 0) == 0

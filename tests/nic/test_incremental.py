@@ -1,6 +1,6 @@
 """Cross-epoch incremental solving at the NIC layer.
 
-Three mechanisms, three contracts:
+Two mechanisms and the straggler route, three contracts:
 
 - **Warm-started fixed points** (``run(initial=...)`` /
   ``run_batch(warm_starts=...)``): the converged values are the *same
@@ -12,19 +12,21 @@ Three mechanisms, three contracts:
 - **Persistent compilation cache**: memoized plans/embeddings/families
   are bit-invisible — enabling or clearing the cache never changes a
   solved byte, only how much setup work ``run_batch`` repeats.
-- **Straggler adoption**: small signature groups ride along inside a
-  big group's padded lanes; the all-zero-dummy-lane argument keeps
-  every scenario bit-identical to the scalar oracle, and the greedy
-  family construction is independent of input order (hypothesis-pinned
-  below).
+- **Stragglers**: small signature groups beside a big group never
+  join it. They merge into padded families, whose all-zero dummy lanes
+  keep every scenario bit-identical to the scalar oracle, or fall back
+  to the scalar solver; the greedy family construction is independent
+  of input order (hypothesis-pinned below).
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nf.catalog import make_nf
+from repro.nic import batch as batch_module
 from repro.nic.batch import (
     _SCALAR_FALLBACK_GROUP_SIZE,
     _COMPILE_CACHE,
@@ -34,7 +36,6 @@ from repro.nic.batch import (
     clear_compile_cache,
     compile_cache_enabled,
     set_compile_cache_enabled,
-    solve_batch,
 )
 from repro.nic.nic import SmartNic
 from repro.nic.spec import bluefield2_spec, pensando_spec
@@ -249,11 +250,12 @@ class TestCompileCache:
         assert _COMPILE_CACHE.misses == misses
 
 
-class TestStragglerAdoption:
-    """Small groups whose signature embeds into a big group's ride
-    along as masked lanes of the big group's arrays."""
+class TestStragglers:
+    """Small signature groups beside a big group take the small-group
+    route: the big group solves with its own rows only, and the small
+    ones merge into padded families or fall back to the scalar solver."""
 
-    def _scenarios(self):
+    def _scenarios(self, rows_per_small=1):
         rng = make_rng(29)
         big_mix = ("flowstats", "nat", "nids")
         small_mixes = [("flowstats", "nids"), ("nat",)]
@@ -269,54 +271,49 @@ class TestStragglerAdoption:
                     for j, (n, t) in enumerate(zip(big_mix, traffic))
                 ]
             )
-        for mix in small_mixes:  # one straggler scenario per small sig
-            traffic = [
-                TrafficProfile(int(rng.integers(5_000, 300_000)), 512, 700.0)
-                for _ in mix
-            ]
-            scenarios.append(
-                [
-                    make_nf(n).demand(t, instance=f"{n}#{j}")
-                    for j, (n, t) in enumerate(zip(mix, traffic))
+        for mix in small_mixes:  # the straggler scenarios of each small sig
+            for _ in range(rows_per_small):
+                traffic = [
+                    TrafficProfile(
+                        int(rng.integers(5_000, 300_000)), 512, 700.0
+                    )
+                    for _ in mix
                 ]
-            )
+                scenarios.append(
+                    [
+                        make_nf(n).demand(t, instance=f"{n}#{j}")
+                        for j, (n, t) in enumerate(zip(mix, traffic))
+                    ]
+                )
         return scenarios
 
-    def test_adoption_engages_here(self):
+    def test_big_group_solves_with_its_own_rows(self):
         nic = SmartNic(bluefield2_spec(), seed=11)
         scenarios = self._scenarios()
         plans = [_ScenarioPlan(nic, s) for s in scenarios]
-        sigs: dict = {}
-        for plan in plans:
-            sigs[plan.signature] = sigs.get(plan.signature, 0) + 1
-        big = [s for s, n in sigs.items() if n >= _SCALAR_FALLBACK_GROUP_SIZE]
-        small = [s for s, n in sigs.items() if n < _SCALAR_FALLBACK_GROUP_SIZE]
-        assert big and small
-        assert all(
-            any(_embed_signature(s, b) is not None for b in big)
-            for s in small
-        )
+        big = plans[0].signature
+        stragglers = [p.signature for p in plans if p.signature != big]
+        assert len(stragglers) == 2
+        # Both embed into the big group's columns, yet neither joins it.
+        assert all(_embed_signature(s, big) is not None for s in stragglers)
         recorder = TraceRecorder()
         with use_recorder(recorder):
-            nic.run_batch(scenarios)
-        assert recorder.exec_counters.get("batch.adoptions", 0) >= len(small)
+            batch = nic.run_batch(scenarios)
+        sizes = recorder.exec_histograms["batch.group_size"]
+        assert (sizes["count"], sizes["max"]) == (1, len(scenarios) - 2)
+        # Two one-row groups are too few rows for a family.
+        assert recorder.exec_counters["batch.scalar_scenarios"] == 2
+        for i, scenario in enumerate(scenarios):
+            assert_identical(nic.run(scenario), batch[i], f"straggler {i}")
 
-    def test_adopted_scenarios_match_scalar_oracle(self):
+    def test_stragglers_match_scalar_oracle(self):
         nic = SmartNic(bluefield2_spec(), seed=11)
         scenarios = self._scenarios()
         batch = nic.run_batch(scenarios)
         for i, scenario in enumerate(scenarios):
-            assert_identical(nic.run(scenario), batch[i], f"adopted {i}")
+            assert_identical(nic.run(scenario), batch[i], f"straggler {i}")
 
-    def test_adoption_matches_disabled_padding(self):
-        nic = SmartNic(pensando_spec(), seed=13)
-        scenarios = self._scenarios()
-        padded = solve_batch(nic, scenarios, pad_small_groups=True)
-        scalar = solve_batch(nic, scenarios, pad_small_groups=False)
-        for i in range(len(scenarios)):
-            assert_identical(scalar[i], padded[i], f"scenario {i}")
-
-    def test_adoption_with_warm_starts(self):
+    def test_stragglers_with_warm_starts(self):
         nic = SmartNic(bluefield2_spec(), seed=11)
         scenarios = self._scenarios()
         cold = [nic.run(s) for s in scenarios]
@@ -329,7 +326,36 @@ class TestStragglerAdoption:
         batch = nic.run_batch(scenarios, warm_starts=warms)
         for i, (scenario, warm) in enumerate(zip(scenarios, warms)):
             assert_identical(
-                nic.run(scenario, initial=warm), batch[i], f"warm adopt {i}"
+                nic.run(scenario, initial=warm), batch[i], f"warm straggler {i}"
+            )
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_identical_signature_family_beside_a_big_group(
+        self, warm, monkeypatch
+    ):
+        """Above the row cap, two-row stragglers merge by identical
+        workload signature into one family beside the big group."""
+        monkeypatch.setattr(batch_module, "_MIXED_FAMILY_MAX_ROWS", 0)
+        nic = SmartNic(bluefield2_spec(), seed=11)
+        scenarios = self._scenarios(rows_per_small=2)
+        cold = [nic.run(s) for s in scenarios]
+        warms = [
+            {w.name: cold[i].throughput_of(w.name) for w in s}
+            if warm and i % 2 == 0
+            else None
+            for i, s in enumerate(scenarios)
+        ]
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            batch = nic.run_batch(scenarios, warm_starts=warms)
+        counters = recorder.exec_counters
+        assert "batch.scalar_scenarios" not in counters
+        assert counters["batch.padded_lanes"] > 0
+        sizes = recorder.exec_histograms["batch.group_size"]
+        assert (sizes["count"], sizes["min"], sizes["max"]) == (2, 4.0, 5.0)
+        for i, (scenario, w) in enumerate(zip(scenarios, warms)):
+            assert_identical(
+                nic.run(scenario, initial=w), batch[i], f"straggler {i}"
             )
 
     def test_scenario_order_invariance(self):

@@ -120,7 +120,8 @@ def test_golden_digest_under_compensated_sum(compensated_builtin_sum, name):
 #: row counts, tallies): (path under ``src/``, enclosing function) ->
 #: the arguments of each call there, as ``ast.unparse`` writes them.
 #: Any other builtin ``sum``, including a new one inside a listed
-#: function, fails the lint below.
+#: function, fails the lint below, and so does an entry whose call is
+#: gone from its function.
 INT_ONLY_SUMS = {
     ("repro/core/predictor.py", "YalaPredictor.predict_many"): (
         "(spec.contention.actor_count if spec.kind == 'bench' else 1 "
@@ -167,10 +168,7 @@ INT_ONLY_SUMS = {
         "(len(by_sig[sig][0]) for sig in member_sigs)",
     ),
     ("repro/nic/batch.py", "solve_batch"): (
-        "(len(m_plans) for _, m_plans, _ in members)",
         "(len(plans) for _, plans, _ in small)",
-        "(len(m_plans) * (len(sig) - len(m_sig)) "
-        "for m_sig, m_plans, _ in members)",
         "(len(plans) * (len(super_sig) - len(sig)) "
         "for sig, plans, _ in members)",
     ),
@@ -243,16 +241,46 @@ def unlisted_sums(files: dict[str, str]) -> list[str]:
     return unlisted
 
 
-def test_src_has_no_unlisted_builtin_sum():
-    files = {
+def stale_entries(files: dict[str, str], allowlist=INT_ONLY_SUMS) -> list[str]:
+    """Allowlisted calls that ``{path: source}`` no longer makes.
+
+    Each entry needs its own call with the same arguments in its
+    function; an entry left over would admit a new float sum there.
+    """
+    made = Counter(
+        (path, scope, arguments)
+        for path, source in files.items()
+        for scope, _, arguments in builtin_sum_calls(source)
+    )
+    stale = []
+    for (path, scope), calls in sorted(allowlist.items()):
+        for arguments, count in sorted(Counter(calls).items()):
+            if made[(path, scope, arguments)] < count:
+                stale.append(f"{path} in {scope}: sum({arguments})")
+    return stale
+
+
+def _src_files() -> dict[str, str]:
+    return {
         path.relative_to(_SRC).as_posix(): path.read_text()
         for path in sorted(_SRC.rglob("*.py"))
     }
-    unlisted = unlisted_sums(files)
+
+
+def test_src_has_no_unlisted_builtin_sum():
+    unlisted = unlisted_sums(_src_files())
     assert not unlisted, (
         "builtin sum() over floats is Python-version dependent; add floats "
         "with repro.numeric.left_sum, or list an int-only sum in "
         "INT_ONLY_SUMS: " + ", ".join(unlisted)
+    )
+
+
+def test_allowlist_has_no_stale_entry():
+    stale = stale_entries(_src_files())
+    assert not stale, (
+        "INT_ONLY_SUMS lists calls their function no longer makes; "
+        "delete them: " + ", ".join(stale)
     )
 
 
@@ -285,3 +313,28 @@ def test_lint_flags_a_new_sum_in_a_listed_function():
         "repro/nic/nic.py:4 in SmartNic.run: sum(rates)",
         "repro/nic/nic.py:5 in SmartNic.run: sum((w.cores for w in workloads))",
     ]
+
+
+def test_lint_flags_a_stale_entry():
+    source = (
+        "class SmartNic:\n"
+        "    def run(self, workloads):\n"
+        "        return sum(w.cores for w in workloads)\n"
+    )
+    path = "repro/nic/nic.py"
+    allowlist = {
+        (path, "SmartNic.run"): (
+            "(w.cores for w in workloads)",
+            "(w.cores for w in workloads)",
+            "(len(w.stages) for w in workloads)",
+        ),
+        (path, "SmartNic.load"): ("(1 for _ in workloads)",),
+    }
+    assert stale_entries({path: source}, allowlist) == [
+        "repro/nic/nic.py in SmartNic.load: sum((1 for _ in workloads))",
+        "repro/nic/nic.py in SmartNic.run: sum((len(w.stages) for w in workloads))",
+        "repro/nic/nic.py in SmartNic.run: sum((w.cores for w in workloads))",
+    ]
+    assert stale_entries({path: source}, {(path, "SmartNic.run"): (
+        "(w.cores for w in workloads)",
+    )}) == []
